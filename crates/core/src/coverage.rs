@@ -29,6 +29,14 @@
 //! `label_of` accessor. Within one row, partitions are block-disjoint, so
 //! a block's list holds at most one partition per row and labels are
 //! strictly increasing — binary search needs no tie-breaking.
+//!
+//! # The tail fast path
+//!
+//! Every query first compares against the list's last cover. Building a
+//! circuit front to back ([`crate::Ckt::from_circuit`]) appends each new
+//! row after all existing ones, so its partitions always land at the tail
+//! and their backward scans always stop there: the cold build then does
+//! one label comparison per block instead of a binary search.
 
 use crate::row::PartId;
 
@@ -52,6 +60,10 @@ impl CoverageIndex {
     pub(crate) fn add(&mut self, b: usize, pid: PartId, label_of: impl Fn(PartId) -> u64) {
         let list = &mut self.blocks[b];
         let label = label_of(pid);
+        if list.last().is_none_or(|&p| label_of(p) < label) {
+            list.push(pid);
+            return;
+        }
         let pos = list.partition_point(|&p| label_of(p) < label);
         if list.get(pos) != Some(&pid) {
             debug_assert!(
@@ -81,6 +93,11 @@ impl CoverageIndex {
         label_of: impl Fn(PartId) -> u64,
     ) -> Option<PartId> {
         let list = &self.blocks[b];
+        match list.last() {
+            None => return None,
+            Some(&p) if label_of(p) < limit => return Some(p),
+            Some(_) => {}
+        }
         let pos = list.partition_point(|&p| label_of(p) < limit);
         pos.checked_sub(1).map(|i| list[i])
     }
@@ -94,6 +111,9 @@ impl CoverageIndex {
         label_of: impl Fn(PartId) -> u64,
     ) -> Option<PartId> {
         let list = &self.blocks[b];
+        if list.last().is_none_or(|&p| label_of(p) <= limit) {
+            return None;
+        }
         let pos = list.partition_point(|&p| label_of(p) <= limit);
         list.get(pos).copied()
     }
@@ -106,5 +126,46 @@ impl CoverageIndex {
     /// Total entries across all blocks (diagnostics).
     pub(crate) fn len(&self) -> usize {
         self.blocks.iter().map(|l| l.len()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::prelude::*;
+
+    /// The tail fast paths answer exactly what the binary searches do,
+    /// whether covers arrive in order (a front-to-back build) or not
+    /// (mid-circuit inserts).
+    #[test]
+    fn queries_match_a_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for in_order in [true, false] {
+            let mut labels: Vec<u64> = (0..40).map(|i| 10 * i + 5).collect();
+            if !in_order {
+                labels.shuffle(&mut rng);
+            }
+            let pid = |label: u64| PartId(qtask_util::Key::from_bits(label));
+            let label_of = |p: PartId| p.key().to_bits();
+            let mut index = CoverageIndex::new(1);
+            let mut added = Vec::new();
+            for &label in &labels {
+                index.add(0, pid(label), label_of);
+                added.push(label);
+                added.sort_unstable();
+                let listed: Vec<u64> = index.covers_of(0).iter().map(|&p| label_of(p)).collect();
+                assert_eq!(listed, added);
+                for limit in 0..=410 {
+                    let before = added.iter().rev().find(|&&l| l < limit).copied();
+                    let after = added.iter().find(|&&l| l > limit).copied();
+                    assert_eq!(index.last_before(0, limit, label_of).map(label_of), before);
+                    assert_eq!(index.first_after(0, limit, label_of).map(label_of), after);
+                }
+            }
+            for &label in &labels {
+                index.remove(0, pid(label), label_of);
+            }
+            assert_eq!(index.len(), 0);
+        }
     }
 }

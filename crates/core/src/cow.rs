@@ -19,12 +19,19 @@ use std::sync::Arc;
 
 /// A block's worth of amplitudes, shared between rows until rewritten.
 ///
-/// `Arc<Vec<…>>` rather than `Arc<[…]>`: publishing a freshly computed
-/// buffer is then a pointer move instead of a second 4 KiB copy, and a
-/// uniquely owned block can be reclaimed
-/// ([`RowVector::take_reusable_arc`]) when its partition re-executes,
-/// making steady-state incremental updates allocation-free.
-pub type BlockData = Arc<Vec<Complex64>>;
+/// One allocation holds the reference counts and the amplitudes: blocks
+/// are built in place ([`new_block`], [`Resolved::to_block`]) rather than
+/// filled in a `Vec` and then wrapped. A uniquely owned block can be
+/// reclaimed ([`RowVector::take_reusable_arc`]) when its partition
+/// re-executes and mutated through [`Arc::get_mut`], making steady-state
+/// incremental updates allocation-free.
+pub type BlockData = Arc<[Complex64]>;
+
+/// A fresh all-zero block of `block_size` amplitudes, in one allocation
+/// (collecting a trusted-length iterator sizes the `Arc` exactly).
+pub fn new_block(block_size: usize) -> BlockData {
+    (0..block_size).map(|_| Complex64::ZERO).collect()
+}
 
 /// One block slot of a row vector.
 pub enum Slot {
@@ -148,17 +155,11 @@ impl Resolved {
         }
     }
 
-    /// Copies the block's contents into a fresh buffer.
-    pub fn to_vec(&self, block: usize, block_size: usize) -> Vec<Complex64> {
+    /// Copies the block's contents into a fresh block (one allocation).
+    pub fn to_block(&self, block: usize, block_size: usize) -> BlockData {
         match self {
-            Resolved::Data(d) => d.as_ref().clone(),
-            Resolved::Initial => {
-                let mut v = vec![Complex64::ZERO; block_size];
-                if block == 0 {
-                    v[0] = Complex64::ONE;
-                }
-                v
-            }
+            Resolved::Data(d) => Arc::from(&d[..]),
+            Resolved::Initial => (0..block_size).map(|i| self.read(block, i)).collect(),
         }
     }
 
@@ -186,7 +187,7 @@ mod tests {
         let v = RowVector::new(4, 8);
         assert_eq!(v.owned_blocks(), 0);
         assert!(v.owned(2).is_none());
-        let data: BlockData = Arc::new(vec![c64(1.0, 0.0); 8]);
+        let data: BlockData = Arc::from(vec![c64(1.0, 0.0); 8]);
         v.publish(2, Arc::clone(&data));
         assert!(v.owns(2));
         assert_eq!(v.owned_blocks(), 1);
@@ -201,17 +202,21 @@ mod tests {
         assert!(r.read(0, 0).is_one(0.0));
         assert!(r.read(0, 3).is_zero(0.0));
         assert!(r.read(5, 0).is_zero(0.0));
-        let v = r.to_vec(0, 4);
+        let v = r.to_block(0, 4);
+        assert_eq!(v.len(), 4);
         assert!(v[0].is_one(0.0));
         assert!(v[1..].iter().all(|z| z.is_zero(0.0)));
-        let v = r.to_vec(3, 4);
+        let v = r.to_block(3, 4);
         assert!(v.iter().all(|z| z.is_zero(0.0)));
+        let copy = Resolved::Data(Arc::clone(&v)).to_block(3, 4);
+        assert!(!Arc::ptr_eq(&copy, &v), "a copy, not a share");
+        assert_eq!(copy, v);
     }
 
     #[test]
     fn take_reusable_arc_keeps_allocation() {
         let v = RowVector::new(2, 4);
-        v.publish(0, Arc::new(vec![c64(1.0, 0.0); 4]));
+        v.publish(0, Arc::from(vec![c64(1.0, 0.0); 4]));
         let mut arc = v.take_reusable_arc(0).expect("uniquely owned");
         assert!(!v.owns(0));
         let ptr = Arc::as_ptr(&arc);
@@ -229,7 +234,7 @@ mod tests {
     fn sharing_is_by_pointer() {
         let v1 = RowVector::new(2, 4);
         let v2 = RowVector::new(2, 4);
-        let data: BlockData = Arc::new(vec![c64(0.5, 0.0); 4]);
+        let data: BlockData = Arc::from(vec![c64(0.5, 0.0); 4]);
         v1.publish(0, Arc::clone(&data));
         v2.publish(0, v1.owned(0).unwrap());
         // Three holders: data, v1, v2.

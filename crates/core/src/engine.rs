@@ -14,8 +14,8 @@ use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_partition::{derive_partitions, BlockGeometry, LoweredGate, PartitionSpec};
 use qtask_taskflow::{Executor, RetainedGraph};
-use qtask_util::{Arena, LinkedArena};
-use std::collections::{HashMap, HashSet};
+use qtask_util::{Arena, BitSet, LinkedArena};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -186,7 +186,9 @@ pub struct Ckt {
     pub(crate) parts: Arena<Partition>,
     pub(crate) net_sim: HashMap<NetId, NetSim>,
     pub(crate) gate_sim: HashMap<GateId, GateSim>,
-    pub(crate) frontier: HashSet<PartId>,
+    /// Partitions awaiting re-simulation, marked by arena slot index
+    /// ([`qtask_util::Key::index`]); removing a partition clears its mark.
+    pub(crate) frontier: BitSet,
     /// Per-block sorted owner lists for O(log) COW resolution.
     pub(crate) owners: OwnerIndex,
     /// Per-block sorted cover lists for O(log) partition linking.
@@ -207,15 +209,19 @@ pub struct Ckt {
     /// Resolution counters of the most recent update (also fed by lazy
     /// query resolution; reset at each `update_state`).
     pub(crate) resolve_stats: ResolveStats,
-    /// Reusable `update_state` allocations (dirty-set DFS + task map).
+    /// Reusable `update_state` allocations (the dirty-set DFS).
     scratch: UpdateScratch,
+    /// Reusable coverage-scan output for partition linking.
+    pub(crate) link_scratch: Vec<PartId>,
     /// Last published snapshot (None before the first capture, always
     /// None under [`SnapshotPolicy::Disabled`]).
     latest: Option<StateSnapshot>,
-    /// Blocks whose final resolution changed since `latest` was captured
-    /// by means other than partition execution — i.e. blocks a removed
-    /// row owned. Maintained only under [`SnapshotPolicy::Publish`].
-    pub(crate) snap_dirty: HashSet<usize>,
+    /// Blocks whose final resolution changed since `latest` was captured:
+    /// the spans of executed non-sync partitions plus the blocks removed
+    /// rows owned. Maintained only under [`SnapshotPolicy::Publish`], and
+    /// only once a snapshot exists — the first publication resolves every
+    /// block anyway.
+    pub(crate) snap_dirty: BitSet,
     /// Snapshot publication counter ([`StateSnapshot::version`]).
     snapshot_seq: u64,
     /// Publication hooks, notified (with the [`BlockDelta`] write set)
@@ -240,14 +246,18 @@ pub struct Ckt {
     last_norm_error: f64,
 }
 
-/// Allocation cache for [`Ckt::update_state`]: the dirty-set DFS scratch
-/// and the partition→task map survive across updates, so steady-state
-/// incremental updates reuse their backing storage instead of
-/// reallocating it every call.
+/// Allocation cache for [`Ckt::update_state`]: the dirty-set DFS marks,
+/// stack and output survive across updates, so steady-state incremental
+/// updates reuse their backing storage instead of reallocating it every
+/// call.
 #[derive(Default)]
 struct UpdateScratch {
-    dirty: HashSet<PartId>,
+    /// DFS visited marks by partition slot index; cleared right after
+    /// the DFS.
+    visited: BitSet,
     stack: Vec<PartId>,
+    /// The dirty set in DFS order.
+    dirty: Vec<PartId>,
 }
 
 impl Ckt {
@@ -280,7 +290,7 @@ impl Ckt {
             parts: Arena::new(),
             net_sim: HashMap::new(),
             gate_sim: HashMap::new(),
-            frontier: HashSet::new(),
+            frontier: BitSet::new(),
             owners: OwnerIndex::new(geom.num_blocks()),
             coverage: crate::coverage::CoverageIndex::new(geom.num_blocks()),
             graph: RetainedGraph::new(),
@@ -288,8 +298,9 @@ impl Ckt {
             fused_cache: crate::fused::FusedCache::default(),
             resolve_stats: ResolveStats::default(),
             scratch: UpdateScratch::default(),
+            link_scratch: Vec::new(),
             latest: None,
-            snap_dirty: HashSet::new(),
+            snap_dirty: BitSet::new(),
             snapshot_seq: 0,
             observers: Vec::new(),
             gate_seq: 0,
@@ -561,7 +572,7 @@ impl Ckt {
 
     /// Current frontier size (partitions awaiting update).
     pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
+        self.frontier.count()
     }
 
     // ---- circuit modifiers ----------------------------------------------
@@ -710,8 +721,7 @@ impl Ckt {
                 } else {
                     // The grouped operator changed: re-simulate all its
                     // partitions.
-                    let parts = self.rows[mxv.key()].parts.clone();
-                    self.frontier.extend(parts);
+                    self.mark_row_frontier(mxv);
                 }
             }
         }
@@ -794,11 +804,8 @@ impl Ckt {
             .linear
             .insert(insert_idx, row_id);
         // Create + link partitions.
-        let pids = self.create_partitions(row_id, specs);
-        for pid in &pids {
-            self.link_partition(*pid);
-        }
-        self.frontier.extend(pids);
+        self.create_partitions(row_id, specs);
+        self.mark_row_frontier(row_id);
         row_id
     }
 
@@ -823,8 +830,7 @@ impl Ckt {
             {
                 *existing = factor;
                 row.fused = None;
-                let parts = self.rows[mxv.key()].parts.clone();
-                self.frontier.extend(parts);
+                self.mark_row_frontier(mxv);
                 return (mxv, sync);
             }
         }
@@ -834,8 +840,7 @@ impl Ckt {
                 row.dense.push(factor);
                 row.dense.sort_by_key(|f| f.target);
                 row.fused = None;
-                let parts = self.rows[mxv.key()].parts.clone();
-                self.frontier.extend(parts);
+                self.mark_row_frontier(mxv);
                 return (mxv, sync);
             }
         }
@@ -875,7 +880,7 @@ impl Ckt {
             .push((sync_row_id, mxv_row_id));
         // Sync: one full-range partition (a pure barrier, owns no data).
         let nb = self.geom.num_blocks() as u32;
-        let sync_pids = self.create_partitions(
+        self.create_partitions(
             sync_row_id,
             vec![PartitionSpec {
                 block_lo: 0,
@@ -884,7 +889,6 @@ impl Ckt {
                 item_end: 0,
             }],
         );
-        self.link_partition(sync_pids[0]);
         // MxV: one partition per block.
         let mxv_specs: Vec<PartitionSpec> = (0..nb)
             .map(|b| PartitionSpec {
@@ -894,20 +898,27 @@ impl Ckt {
                 item_end: 0,
             })
             .collect();
-        let mxv_pids = self.create_partitions(mxv_row_id, mxv_specs);
-        for pid in &mxv_pids {
-            self.link_partition(*pid);
-        }
-        self.frontier.extend(mxv_pids);
+        self.create_partitions(mxv_row_id, mxv_specs);
+        self.mark_row_frontier(mxv_row_id);
         (mxv_row_id, sync_row_id)
     }
 
-    fn create_partitions(&mut self, row_id: RowId, specs: Vec<PartitionSpec>) -> Vec<PartId> {
+    /// Puts every partition of `row` on the frontier.
+    fn mark_row_frontier(&mut self, row: RowId) {
+        for pid in &self.rows[row.key()].parts {
+            self.frontier.insert(pid.key().index());
+        }
+    }
+
+    /// Creates `row_id`'s partitions and their retained-graph nodes,
+    /// registers their spans in the coverage index, and links them.
+    fn create_partitions(&mut self, row_id: RowId, specs: Vec<PartitionSpec>) {
         let pids: Vec<PartId> = specs
             .into_iter()
             .map(|spec| PartId(self.parts.insert(Partition::new(row_id, spec))))
             .collect();
-        self.rows[row_id.key()].parts = pids.clone();
+        self.rows[row_id.key()].parts = pids;
+        let row = &self.rows[row_id.key()];
         // Mirror the new partitions into the retained task graph: the
         // payload is the packed `PartId` (decoded by `update_state`'s
         // invoke closure), the chunk count fixes the execution shape —
@@ -915,17 +926,18 @@ impl Ckt {
         // linear partitions fan out one chunk per `block_size` items.
         qtask_faults::fault_point!("engine/graph_patch");
         let chunk = self.geom.block_size() as u64;
-        let label = std::sync::Arc::clone(&self.rows[row_id.key()].label);
-        for &pid in &pids {
-            let chunks = match self.rows[row_id.key()].kind {
+        for &pid in &row.parts {
+            let part = &mut self.parts[pid.key()];
+            let chunks = match row.kind {
                 RowKind::Sync => 0,
                 RowKind::MxV => 1,
-                RowKind::Linear(_) => self.parts[pid.key()].spec.num_tasks(chunk) as u32,
+                RowKind::Linear(_) => part.spec.num_tasks(chunk) as u32,
             };
-            let node =
-                self.graph
-                    .insert(pid.key().to_bits(), chunks, std::sync::Arc::clone(&label));
-            self.parts[pid.key()].node = node;
+            part.node = self.graph.insert(
+                pid.key().to_bits(),
+                chunks,
+                std::sync::Arc::clone(&row.label),
+            );
         }
         // Register the new partitions' spans in the coverage index, so
         // linking them (and every later link) resolves nearest covers by
@@ -936,13 +948,16 @@ impl Ckt {
             rows.order_label(parts[pid.key()].row.key())
                 .expect("cover rows are live")
         };
-        for &pid in &pids {
+        for &pid in &row.parts {
             let spec = &parts[pid.key()].spec;
             for b in spec.block_lo..=spec.block_hi {
                 self.coverage.add(b as usize, pid, label_of);
             }
         }
-        pids
+        for i in 0..self.rows[row_id.key()].parts.len() {
+            let pid = self.rows[row_id.key()].parts[i];
+            self.link_partition(pid);
+        }
     }
 
     // ---- incremental update ----------------------------------------------
@@ -988,25 +1003,31 @@ impl Ckt {
             record_update_metrics(&report);
             return Ok(report);
         }
-        // DFS over successor edges: the dirty set is successor-closed.
-        // The DFS scratch and the partition→task map are cached in
+        // DFS over the retained graph's successor edges: the dirty set is
+        // successor-closed. The marks, stack and output are cached in
         // `self.scratch` so steady-state updates reallocate nothing.
         let partition_span = qtask_obs::span!("update/partition");
-        let mut dirty = std::mem::take(&mut self.scratch.dirty);
-        let mut stack = std::mem::take(&mut self.scratch.stack);
+        let UpdateScratch {
+            mut visited,
+            mut stack,
+            mut dirty,
+        } = std::mem::take(&mut self.scratch);
         dirty.clear();
         stack.clear();
-        stack.extend(
-            self.frontier
-                .iter()
-                .copied()
-                .filter(|p| self.parts.contains(p.key())),
-        );
+        stack.extend(self.frontier.iter().map(|i| {
+            PartId(
+                self.parts
+                    .key_at(i)
+                    .expect("frontier marks only live partitions"),
+            )
+        }));
         while let Some(p) = stack.pop() {
-            if dirty.insert(p) {
-                stack.extend(self.parts[p.key()].succs.iter().copied());
+            if visited.insert(p.key().index()) {
+                dirty.push(p);
+                stack.extend(self.succs_of(p));
             }
         }
+        visited.clear();
         qtask_faults::fault_point!("engine/update_build");
         // Detach the previous snapshot spine *before* execution: blocks
         // this update will rewrite (spans of dirty non-sync partitions,
@@ -1015,14 +1036,18 @@ impl Ckt {
         // re-executing tasks can reclaim their buffers and the warm
         // update stays allocation-free. A reader-held snapshot keeps its
         // pins and the rewritten blocks fork instead — MVCC isolation.
+        // With no snapshot yet, the capture resolves every block, so
+        // there is nothing to mark.
         let spine = if publish {
-            for &pid in &dirty {
-                let part = &self.parts[pid.key()];
-                if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
-                    continue; // barriers span everything but own nothing
-                }
-                for b in part.spec.block_lo..=part.spec.block_hi {
-                    self.snap_dirty.insert(b as usize);
+            if self.latest.is_some() {
+                for &pid in &dirty {
+                    let part = &self.parts[pid.key()];
+                    if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
+                        continue; // barriers span everything but own nothing
+                    }
+                    for b in part.spec.block_lo..=part.spec.block_hi {
+                        self.snap_dirty.insert(b as usize);
+                    }
                 }
             }
             Some(self.detach_spine())
@@ -1097,8 +1122,11 @@ impl Ckt {
         drop(kernel_span);
         let partitions_executed = dirty.len();
         let (blocks_resolved, owner_probes) = self.resolve_stats.snapshot();
-        self.scratch.dirty = dirty;
-        self.scratch.stack = stack;
+        self.scratch = UpdateScratch {
+            visited,
+            stack,
+            dirty,
+        };
         let stats = match run_result {
             Ok(stats) => stats,
             // Some partitions ran, some were cancelled: the row state is
@@ -1209,7 +1237,7 @@ impl Ckt {
                     Ok(inner) => inner.blocks,
                     Err(shared) => shared.blocks.clone(),
                 };
-                for &b in &self.snap_dirty {
+                for b in self.snap_dirty.iter() {
                     spine.set(b, None);
                 }
                 (spine, false)
@@ -1241,7 +1269,7 @@ impl Ckt {
             // while the norm cache is written; its capacity is restored
             // below to keep the warm path allocation-free.
             let snap_dirty = std::mem::take(&mut self.snap_dirty);
-            for &b in &snap_dirty {
+            for b in snap_dirty.iter() {
                 let data = self.resolve_final_data(b, &stats);
                 self.block_norms[b] = block_norm(b, &data);
                 blocks.set(b, data);
@@ -1249,15 +1277,13 @@ impl Ckt {
             self.snap_dirty = snap_dirty;
         }
         drop(resolve_span);
-        // The write set becomes this publication's delta — captured
-        // before the dirty set is cleared, skipped (no allocation) when
-        // nobody listens.
+        // The write set becomes this publication's delta (the bitset
+        // iterates in ascending order) — captured before the dirty set is
+        // cleared, skipped (no allocation) when nobody listens.
         let delta_dirty = if self.observers.is_empty() || resolve_all {
             Vec::new()
         } else {
-            let mut d: Vec<usize> = self.snap_dirty.iter().copied().collect();
-            d.sort_unstable();
-            d
+            self.snap_dirty.iter().collect()
         };
         self.snap_dirty.clear();
         let total: f64 = self.block_norms.iter().sum();

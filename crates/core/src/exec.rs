@@ -28,13 +28,14 @@
 //! place, and republish the same allocation.
 
 use crate::config::{KernelPolicy, ResolvePolicy};
-use crate::cow::{BlockData, Resolved};
+use crate::cow::{self, BlockData, Resolved};
 use crate::fused::FusedOp;
 use crate::owners::{OwnerIndex, ResolveStats};
 use crate::row::{PartId, Partition, Row, RowId, RowKind};
 use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
 use qtask_util::{Arena, LinkedArena};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -121,22 +122,29 @@ impl<'a> ExecView<'a> {
     }
 }
 
+thread_local! {
+    /// The calling thread's [`BlockSet`] entry vector, lent to one task
+    /// at a time. A worker runs one task at a time, so one vector per
+    /// thread serves every partition, and once it has grown to the widest
+    /// task's working set, tasks allocate nothing for their bookkeeping.
+    static BLOCK_SCRATCH: Cell<Vec<(usize, BlockData)>> = const { Cell::new(Vec::new()) };
+}
+
 /// A small ordered working set of materialized blocks for one task. Each
-/// entry keeps its `Arc` wrapper (uniquely owned by construction), so
+/// entry keeps its `Arc` (uniquely owned by construction), so
 /// publication moves the allocation instead of re-wrapping it. The entry
-/// vector itself is borrowed from the partition's scratch pool
-/// ([`Partition::scratch`]) and returned after publication, so warm
-/// re-executions allocate nothing.
+/// vector itself is borrowed from the thread's scratch and returned after
+/// publication, so warm re-executions allocate nothing.
 struct BlockSet {
     entries: Vec<(usize, BlockData)>,
 }
 
 impl BlockSet {
-    /// Pops an entry vector from the partition's pool (or starts an
-    /// empty one the pool will absorb afterwards).
-    fn from_pool(part: &Partition) -> BlockSet {
-        let entries = part.scratch.lock().pop().unwrap_or_default();
-        debug_assert!(entries.is_empty(), "pooled scratch returned drained");
+    /// Borrows the thread's entry vector (a task that panicked mid-way
+    /// took it with it; the next task then starts an empty one).
+    fn from_scratch() -> BlockSet {
+        let entries = BLOCK_SCRATCH.take();
+        debug_assert!(entries.is_empty(), "scratch returned drained");
         BlockSet { entries }
     }
 
@@ -159,7 +167,7 @@ impl BlockSet {
                 // Simulated allocation failure lands here: the cold path
                 // that materializes a fresh working buffer.
                 qtask_faults::fault_point!("exec/alloc_block");
-                Arc::new(resolved.to_vec(b, view.geom.block_size()))
+                resolved.to_block(b, view.geom.block_size())
             }
         };
         self.entries.push((b, data));
@@ -187,13 +195,13 @@ impl BlockSet {
     }
 
     /// Publishes every materialized block and returns the drained entry
-    /// vector to the partition's pool. Tasks of one partition touch
+    /// vector to the thread's scratch. Tasks of one partition touch
     /// disjoint blocks, so these publications never collide.
-    fn publish(mut self, view: &ExecView<'_>, row_id: RowId, row: &Row, part: &Partition) {
+    fn publish(mut self, view: &ExecView<'_>, row_id: RowId, row: &Row) {
         for (b, data) in self.entries.drain(..) {
             view.publish(row_id, row, b, data);
         }
-        part.scratch.lock().push(self.entries);
+        BLOCK_SCRATCH.set(self.entries);
     }
 }
 
@@ -208,14 +216,14 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
         unreachable!("linear execution on non-linear row");
     };
     let pattern = op.pattern(view.n_qubits);
-    let mut blocks = BlockSet::from_pool(part);
+    let mut blocks = BlockSet::from_scratch();
     // Run decomposition only pays when runs are real (length > 1).
     if view.kernels == KernelPolicy::Batched && pattern.run_len_log2() > 0 {
         linear_batched(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
     } else {
         linear_scalar(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
     }
-    blocks.publish(&view, row_id, row, part);
+    blocks.publish(&view, row_id, row);
 }
 
 /// The scalar item loop: one amplitude (pair) per step.
@@ -412,7 +420,7 @@ pub fn exec_mxv_partition(view: ExecView<'_>, pid: PartId) {
     let base = block * bs;
     let mut out_arc = row.vector.take_reusable_arc(block).unwrap_or_else(|| {
         qtask_faults::fault_point!("exec/alloc_block");
-        Arc::new(vec![Complex64::ZERO; bs])
+        cow::new_block(bs)
     });
     let out = Arc::get_mut(&mut out_arc).expect("output buffer is unique");
     match row.fused {

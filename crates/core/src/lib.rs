@@ -30,10 +30,11 @@
 //!   share one matrix–vector row preceded by a `sync` row.
 //! * Rows split into **partitions** of consecutive blocks ([`qtask_partition`]);
 //!   partitions form the task graph, linked by nearest-overlap coverage
-//!   scans ([`pgraph`]).
+//!   scans ([`pgraph`]) whose edges live once, in a retained
+//!   [`qtask_taskflow::RetainedGraph`].
 //! * `update_state` performs a DFS from the frontier over successor edges
-//!   and executes the dirty partitions as a [`qtask_taskflow::Taskflow`],
-//!   with intra-partition tasks as subflow children ([`exec`]).
+//!   and executes the dirty partitions as a dirty run of that graph, with
+//!   intra-partition tasks as parallel chunks of one node ([`exec`]).
 
 pub mod config;
 pub(crate) mod coverage;

@@ -14,22 +14,40 @@
 //!   partition's predecessors to its successors where their block ranges
 //!   overlap inside the removed range (Figure 7), and push the successors
 //!   onto the frontier.
+//!
+//! Edges are stored once, in the engine's retained task graph: each
+//! partition's node there carries the partition's packed id as payload,
+//! so the graph's adjacency answers every "who precedes / follows this
+//! partition" question without a second edge list to keep in sync.
 
 use crate::engine::Ckt;
 use crate::row::{PartId, RowId};
+use qtask_taskflow::NodeId;
 
 impl Ckt {
-    /// Adds edge `a → b` if absent, mirroring it into the retained task
-    /// graph so `update_state` never has to re-derive precedence.
+    /// The partition behind retained-graph node `node`.
+    pub(crate) fn part_of(&self, node: NodeId) -> PartId {
+        PartId(qtask_util::Key::from_bits(self.graph.payload(node)))
+    }
+
+    /// Successors of partition `pid`, read from the retained graph.
+    pub(crate) fn succs_of(&self, pid: PartId) -> impl Iterator<Item = PartId> + '_ {
+        let node = self.parts[pid.key()].node;
+        self.graph.succs(node).iter().map(|&s| self.part_of(s))
+    }
+
+    /// Predecessors of partition `pid`, read from the retained graph.
+    pub(crate) fn preds_of(&self, pid: PartId) -> impl Iterator<Item = PartId> + '_ {
+        let node = self.parts[pid.key()].node;
+        self.graph.preds(node).iter().map(|&p| self.part_of(p))
+    }
+
+    /// Adds edge `a → b` to the retained task graph if absent, so
+    /// `update_state` never has to re-derive precedence.
     pub(crate) fn add_edge(&mut self, a: PartId, b: PartId) {
         debug_assert_ne!(a, b);
-        let pa = &mut self.parts[a.key()];
-        if !pa.succs.contains(&b) {
-            pa.succs.push(b);
-            self.parts[b.key()].preds.push(a);
-            let (na, nb) = (self.parts[a.key()].node, self.parts[b.key()].node);
-            self.graph.add_edge(na, nb);
-        }
+        let (na, nb) = (self.parts[a.key()].node, self.parts[b.key()].node);
+        self.graph.add_edge(na, nb);
     }
 
     /// Links a freshly created partition into the graph: backward
@@ -59,21 +77,31 @@ impl Ckt {
             let p = &self.parts[pid.key()];
             (p.row, p.spec.block_lo, p.spec.block_hi)
         };
-        let preds = self.coverage_scan(row_id, lo, hi, Direction::Backward);
-        let succs = self.coverage_scan(row_id, lo, hi, Direction::Forward);
-        for &p in &preds {
+        let mut found = std::mem::take(&mut self.link_scratch);
+        self.coverage_scan(row_id, lo, hi, Direction::Backward, &mut found);
+        for &p in &found {
             self.add_edge(p, pid);
         }
-        for &s in &succs {
+        self.coverage_scan(row_id, lo, hi, Direction::Forward, &mut found);
+        for &s in &found {
             self.add_edge(pid, s);
         }
+        self.link_scratch = found;
     }
 
     /// Nearest partitions covering blocks `[lo, hi]` in direction `dir`
     /// from (exclusive) `from_row`: per block, a binary search in the
     /// coverage index for the closest cover strictly before/after
-    /// `from_row`'s order label, deduplicated across blocks.
-    fn coverage_scan(&self, from_row: RowId, lo: u32, hi: u32, dir: Direction) -> Vec<PartId> {
+    /// `from_row`'s order label, deduplicated across blocks. Replaces the
+    /// contents of `found`.
+    fn coverage_scan(
+        &self,
+        from_row: RowId,
+        lo: u32,
+        hi: u32,
+        dir: Direction,
+        found: &mut Vec<PartId>,
+    ) {
         let limit = self
             .rows
             .order_label(from_row.key())
@@ -83,7 +111,7 @@ impl Ckt {
                 .order_label(self.parts[pid.key()].row.key())
                 .expect("cover rows are live")
         };
-        let mut found = Vec::new();
+        found.clear();
         for b in lo..=hi {
             let hit = match dir {
                 Direction::Backward => self.coverage.last_before(b as usize, limit, label_of),
@@ -95,7 +123,6 @@ impl Ckt {
                 }
             }
         }
-        found
     }
 
     /// Removes a row and all its partitions, reconnecting each orphaned
@@ -162,38 +189,35 @@ impl Ckt {
         qtask_faults::fault_point!("engine/graph_patch");
         let mut orphaned: Vec<PartId> = Vec::new();
         for pid in row.parts {
-            let part = self.parts.remove(pid.key()).expect("row partition is live");
-            // Retained-graph removal detaches every incident edge, so the
+            // The successors become orphans: collect them before the
+            // retained-graph removal detaches every incident edge, so the
             // reconnection scan below patches a graph with no stale nodes.
-            self.graph.remove(part.node);
-            self.frontier.remove(&pid);
-            // Detach.
-            for p in &part.preds {
-                self.parts[p.key()].succs.retain(|s| *s != pid);
-            }
-            for s in &part.succs {
-                self.parts[s.key()].preds.retain(|p| *p != pid);
-            }
-            orphaned.extend(part.succs.iter().copied());
-            self.frontier.extend(part.succs.iter().copied());
+            let node = self.parts[pid.key()].node;
+            orphaned.extend(self.graph.succs(node).iter().map(|&s| self.part_of(s)));
+            self.graph.remove(node);
+            self.parts.remove(pid.key()).expect("row partition is live");
+            self.frontier.remove(pid.key().index());
         }
         // Re-derive each orphan's predecessor set by a fresh backward
         // coverage scan (existing edges are kept; add_edge deduplicates).
         orphaned.sort_unstable();
         orphaned.dedup();
+        let mut preds = std::mem::take(&mut self.link_scratch);
         for s in orphaned {
             if !self.parts.contains(s.key()) {
                 continue;
             }
+            self.frontier.insert(s.key().index());
             let (s_row, lo, hi) = {
                 let p = &self.parts[s.key()];
                 (p.row, p.spec.block_lo, p.spec.block_hi)
             };
-            let preds = self.coverage_scan(s_row, lo, hi, Direction::Backward);
-            for p in preds {
+            self.coverage_scan(s_row, lo, hi, Direction::Backward, &mut preds);
+            for &p in &preds {
                 self.add_edge(p, s);
             }
         }
+        self.link_scratch = preds;
         // The row's vector (and its owned blocks) drops here; inherited
         // reads now resolve through to earlier rows — removal needs no
         // simulation until `update_state`.
@@ -208,17 +232,36 @@ impl Ckt {
         for (i, k) in self.rows.keys().enumerate() {
             order.insert(RowId(k), i);
         }
+        // Every node must decode to a live partition that points back at
+        // it before any edge can be read as a partition edge.
         for (k, part) in self.parts.iter() {
             let pid = PartId(k);
             if !self.rows.contains(part.row.key()) {
                 return Err(format!("{pid:?} points at a dead row"));
             }
-            for s in &part.succs {
-                let succ = self
-                    .parts
-                    .get(s.key())
-                    .ok_or_else(|| format!("{pid:?} has dead succ {s:?}"))?;
-                if !succ.preds.contains(&pid) {
+            if !self.graph.contains(part.node) {
+                return Err(format!("{pid:?} points at a dead retained node"));
+            }
+            if self.graph.payload(part.node) != k.to_bits() {
+                return Err(format!("{pid:?}'s retained node carries a foreign payload"));
+            }
+        }
+        let endpoint = |node: NodeId, of: PartId, role: &str| -> Result<PartId, String> {
+            if !self.graph.contains(node) {
+                return Err(format!("{of:?} has dead {role} node {node:?}"));
+            }
+            let q = self.part_of(node);
+            match self.parts.get(q.key()) {
+                Some(p) if p.node == node => Ok(q),
+                _ => Err(format!("{of:?} has dead {role} {q:?}")),
+            }
+        };
+        for (k, part) in self.parts.iter() {
+            let pid = PartId(k);
+            for &sn in self.graph.succs(part.node) {
+                let s = endpoint(sn, pid, "succ")?;
+                let succ = &self.parts[s.key()];
+                if !self.graph.preds(sn).contains(&part.node) {
                     return Err(format!("asymmetric edge {pid:?} -> {s:?}"));
                 }
                 if order[&part.row] >= order[&succ.row] {
@@ -230,19 +273,16 @@ impl Ckt {
                     return Err(format!("edge {pid:?} -> {s:?} without block overlap"));
                 }
             }
-            for p in &part.preds {
-                let pred = self
-                    .parts
-                    .get(p.key())
-                    .ok_or_else(|| format!("{pid:?} has dead pred {p:?}"))?;
-                if !pred.succs.contains(&pid) {
+            for &pn in self.graph.preds(part.node) {
+                let p = endpoint(pn, pid, "pred")?;
+                if !self.graph.succs(pn).contains(&part.node) {
                     return Err(format!("asymmetric edge {p:?} -> {pid:?}"));
                 }
             }
         }
-        for f in &self.frontier {
-            if !self.parts.contains(f.key()) {
-                return Err(format!("frontier holds dead partition {f:?}"));
+        for f in self.frontier.iter() {
+            if self.parts.key_at(f).is_none() {
+                return Err(format!("frontier holds dead partition slot {f}"));
             }
         }
         // Coverage-index coherence: every live partition is indexed for
@@ -264,9 +304,9 @@ impl Ckt {
                 self.coverage.len()
             ));
         }
-        // Retained-graph coherence: exactly one live node per partition,
-        // carrying that partition's packed id, with every partition edge
-        // mirrored (plus the graph's own symmetry/liveness invariants).
+        // Retained-graph coherence: exactly one live node per partition
+        // (each carrying its partition's packed id, checked above), plus
+        // the graph's own symmetry/liveness invariants.
         self.graph.validate()?;
         if self.graph.len() != self.parts.len() {
             return Err(format!(
@@ -274,26 +314,6 @@ impl Ckt {
                 self.graph.len(),
                 self.parts.len()
             ));
-        }
-        for (k, part) in self.parts.iter() {
-            let pid = PartId(k);
-            if !self.graph.contains(part.node) {
-                return Err(format!("{pid:?} points at a dead retained node"));
-            }
-            if self.graph.payload(part.node) != k.to_bits() {
-                return Err(format!("{pid:?}'s retained node carries a foreign payload"));
-            }
-            for s in &part.succs {
-                if !self
-                    .graph
-                    .succs(part.node)
-                    .contains(&self.parts[s.key()].node)
-                {
-                    return Err(format!(
-                        "partition edge {pid:?} -> {s:?} missing from the retained graph"
-                    ));
-                }
-            }
         }
         for b in 0..self.geom.num_blocks() {
             let mut prev = None;
@@ -337,7 +357,8 @@ impl Ckt {
                 let part = &self.parts[pid.key()];
                 let (lo, hi) = (part.spec.block_lo, part.spec.block_hi);
                 // Nearest covers of s.
-                let covers = self.coverage_scan(part.row, lo, hi, Direction::Backward);
+                let mut covers = Vec::new();
+                self.coverage_scan(part.row, lo, hi, Direction::Backward, &mut covers);
                 for c in covers {
                     // BFS forward from c, looking for pid.
                     let mut seen: HashSet<PartId> = HashSet::new();
@@ -349,7 +370,7 @@ impl Ckt {
                             break;
                         }
                         if seen.insert(x) {
-                            stack.extend(self.parts[x.key()].succs.iter().copied());
+                            stack.extend(self.succs_of(x));
                         }
                     }
                     if !found {

@@ -319,9 +319,9 @@ impl Ckt {
                     row.label.to_string(),
                     part.spec.block_lo,
                     part.spec.block_hi,
-                    part.preds.iter().map(|p| p.key().index()).collect(),
-                    part.succs.iter().map(|s| s.key().index()).collect(),
-                    self.frontier.contains(pid),
+                    self.preds_of(*pid).map(|p| p.key().index()).collect(),
+                    self.succs_of(*pid).map(|s| s.key().index()).collect(),
+                    self.frontier.contains(pid.key().index()),
                 ));
             }
         }

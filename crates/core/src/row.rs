@@ -1,7 +1,6 @@
 //! Rows and partitions: the simulator's internal graph node types.
 
-use crate::cow::{BlockData, RowVector};
-use parking_lot::Mutex;
+use crate::cow::RowVector;
 use qtask_circuit::{GateId, NetId};
 use qtask_num::Mat2;
 use qtask_partition::{LinearOp, PartitionSpec};
@@ -71,28 +70,21 @@ pub struct Row {
 }
 
 /// A node of the task graph: a group of consecutive blocks of one row.
+///
+/// A partition holds no edges of its own: precedence lives once, in the
+/// engine's [`qtask_taskflow::RetainedGraph`], reached through
+/// [`Partition::node`].
 pub struct Partition {
     /// The row this partition belongs to.
     pub row: RowId,
     /// Block range and item-rank range.
     pub spec: PartitionSpec,
-    /// Nearest earlier partitions that jointly cover this partition's
-    /// blocks (execution must wait for them).
-    pub preds: Vec<PartId>,
-    /// Partitions whose coverage includes this one, looking forward.
-    pub succs: Vec<PartId>,
-    /// Pool of working-set entry vectors for this partition's linear
-    /// tasks ([`crate::exec`]'s `BlockSet`). A task pops a vector on
-    /// entry and pushes it back (drained, capacity intact) after
-    /// publishing, so warm re-executions of linear rows allocate nothing
-    /// — the linear-row counterpart of the MxV path's
-    /// [`crate::cow::RowVector::take_reusable_arc`] reuse. Concurrent
-    /// tasks of one partition each pop their own vector; the pool grows
-    /// to the high-water concurrency and stays there.
-    pub scratch: Mutex<Vec<Vec<(usize, BlockData)>>>,
     /// This partition's node in the engine's retained task graph
-    /// ([`qtask_taskflow::RetainedGraph`]). Assigned when the partition is
-    /// linked; [`qtask_taskflow::NodeId::DANGLING`] until then.
+    /// ([`qtask_taskflow::RetainedGraph`]): its predecessors there are the
+    /// nearest earlier partitions that jointly cover its blocks, its
+    /// successors the partitions whose coverage includes it, looking
+    /// forward. Assigned when the partition is created;
+    /// [`qtask_taskflow::NodeId::DANGLING`] until then.
     pub node: qtask_taskflow::NodeId,
 }
 
@@ -102,9 +94,6 @@ impl Partition {
         Partition {
             row,
             spec,
-            preds: Vec::new(),
-            succs: Vec::new(),
-            scratch: Mutex::new(Vec::new()),
             node: qtask_taskflow::NodeId::DANGLING,
         }
     }

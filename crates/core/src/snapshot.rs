@@ -147,7 +147,7 @@ impl StateSnapshot {
     /// [`StateSnapshot::scale`] to recover the amplitudes the scalar
     /// queries report.
     pub fn raw_block(&self, b: usize) -> Option<&[Complex64]> {
-        self.inner.blocks.get(b).as_deref().map(|v| v.as_slice())
+        self.inner.blocks.get(b).as_deref()
     }
 
     /// The amplitude of basis state `idx`.

@@ -82,7 +82,7 @@ mod tests {
     use qtask_num::c64;
 
     fn block(v: f64) -> BlockData {
-        Arc::new(vec![c64(v, 0.0); 2])
+        Arc::from(vec![c64(v, 0.0); 2])
     }
 
     #[test]

@@ -1,26 +1,34 @@
 //! The work-stealing executor.
 //!
-//! A persistent pool of workers executes [`Taskflow`] graphs. Each run
-//! builds a private `RunCtx` of run nodes (join counters, successor
-//! pointers); workers pop jobs from their local LIFO deque, then steal
+//! A persistent pool of workers executes two kinds of graph. A one-shot
+//! [`Taskflow`] run builds a private `RunCtx` of run nodes (join
+//! counters, successor pointers); subflow tasks append child run nodes
+//! dynamically, and a parent completes — firing its successors and its
+//! own pending slot — only after its last child completes. A
+//! [`RetainedGraph`] run ([`Executor::run_dirty`]) builds no run nodes at
+//! all: its join counts and chunk countdowns live in the retained nodes
+//! themselves, and successors are read from the retained edge lists.
+//! Either way, workers pop jobs from their local LIFO deque, then steal
 //! from the global injector and from each other (crossbeam-deque), and
-//! park on a condition variable when idle. Subflow tasks append child run
-//! nodes dynamically; a parent completes — firing its successors and its
-//! own pending slot — only after its last child completes.
+//! park on a condition variable when idle.
 //!
 //! # Safety model
 //!
-//! Jobs are raw pointers into the run's node storage. Three invariants
-//! make this sound:
+//! Jobs are raw pointers into the run's storage: a `Taskflow` run node,
+//! or the stack-held `RetainedRun` of a blocking `run_dirty` call. Three
+//! invariants make this sound:
 //!
 //! 1. **Stability** — run nodes are individually boxed; child nodes are
 //!    appended under a mutex into the context's keep-alive vector *before*
-//!    any job pointing at them is published.
-//! 2. **Liveness** — `run()` keeps the `RunCtx` alive until the done-gate
-//!    flag is set, and the flag is set only after the final `pending`
-//!    decrement; every job is consumed before that decrement, so no worker
-//!    dereferences a node after the context is freed. The done gate itself
-//!    is a separate `Arc` cloned *before* the final decrement's signal.
+//!    any job pointing at them is published. A retained graph is borrowed
+//!    for the whole `run_dirty` call, so its nodes cannot move or change
+//!    shape while jobs point into it.
+//! 2. **Liveness** — `run()` and `run_dirty()` keep their context alive
+//!    until the done-gate flag is set, and the flag is set only after the
+//!    final `pending` decrement; every job is consumed before that
+//!    decrement, so no worker dereferences a node after the context is
+//!    freed. The done gate itself is a separate `Arc` cloned *before* the
+//!    final decrement's signal.
 //! 3. **Borrow validity** — task closures may borrow the caller's
 //!    environment (`'env`); `run()` blocks the caller until every task
 //!    completed, so those borrows outlive all uses (the same argument
@@ -37,7 +45,8 @@ use std::thread::JoinHandle;
 
 use crate::graph::{Subflow, Taskflow, Work};
 use crate::observer::{ExecEvent, Observer};
-use crate::retained::{DirtyRunStats, RetainedGraph};
+use crate::retained::{DirtyRunStats, NodeId, RetainedGraph, RetainedNode};
+use qtask_util::Arena;
 
 /// Structured description of a task panic, returned by
 /// [`Executor::try_run`]. The graph is always drained before this is
@@ -79,12 +88,23 @@ fn task_probe() {
     qtask_faults::fault_point!("taskflow/task");
 }
 
-/// A unit of scheduled work: a pointer to a live run node.
+/// A unit of scheduled work.
 #[derive(Clone, Copy)]
-struct Job(*const RunNode);
+enum Job {
+    /// A live `Taskflow` run node.
+    Node(*const RunNode),
+    /// One chunk of a dirty retained-graph node (chunk 0 for barriers
+    /// and single calls).
+    Retained {
+        run: *const RetainedRun<'static>,
+        node: NodeId,
+        chunk: u32,
+    },
+}
 
-// SAFETY: the pointee is kept alive by the RunCtx for the whole run and
-// all mutation goes through atomics or the once-only Child cell.
+// SAFETY: the pointees are kept alive for the whole run (module safety
+// model) and all mutation goes through atomics or the once-only Child
+// cell.
 unsafe impl Send for Job {}
 
 enum RunWork {
@@ -95,12 +115,6 @@ enum RunWork {
     Dynamic(*const (dyn Fn(&mut Subflow<'static>) + Send + Sync)),
     /// A subflow child, created at runtime and executed exactly once.
     Child(UnsafeCell<Option<Box<dyn FnOnce() + Send>>>),
-    /// A retained-graph node body: calls the run-level `invoke` closure
-    /// (stored on the [`RunCtx`]) with this node's payload and chunk.
-    Invoke {
-        payload: u64,
-        chunk: u32,
-    },
 }
 
 struct RunNode {
@@ -122,6 +136,77 @@ struct DoneGate {
 /// First panic observed in a run: the task's name plus its payload.
 type FirstPanic = Mutex<Option<(Arc<str>, Box<dyn Any + Send + 'static>)>>;
 
+/// Completion bookkeeping shared by every job of one run: the pending
+/// count, the cancellation flag, the first panic and the done gate. A
+/// retained graph keeps one across runs, so a warm `run_dirty` allocates
+/// none of it.
+pub(crate) struct RunState {
+    /// Jobs not yet completed (grows when subflows spawn children).
+    pending: AtomicUsize,
+    /// Set when a task panicked; remaining closures are skipped.
+    cancelled: AtomicBool,
+    /// First panic: the task's name plus its payload.
+    panic: FirstPanic,
+    done: Arc<DoneGate>,
+}
+
+impl Default for RunState {
+    fn default() -> RunState {
+        RunState {
+            pending: AtomicUsize::new(0),
+            cancelled: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            done: Arc::new(DoneGate {
+                lock: Mutex::new(false),
+                cv: Condvar::new(),
+            }),
+        }
+    }
+}
+
+impl RunState {
+    /// Re-arms the state for a run of `jobs` jobs.
+    fn arm(&self, jobs: usize) {
+        self.pending.store(jobs, Ordering::SeqCst);
+        self.cancelled.store(false, Ordering::SeqCst);
+        *self.panic.lock() = None;
+        *self.done.lock.lock() = false;
+    }
+
+    /// Records a task panic (the first one wins) and cancels the rest of
+    /// the run.
+    fn record_panic(&self, task: &Arc<str>, payload: Box<dyn Any + Send + 'static>) {
+        self.cancelled.store(true, Ordering::Relaxed);
+        let mut slot = self.panic.lock();
+        if slot.is_none() {
+            *slot = Some((Arc::clone(task), payload));
+        }
+    }
+
+    /// Counts one job done; the last one opens the done gate. This is the
+    /// job's final access to the run: the gate is cloned *before* the
+    /// decrement, so the signal never touches freed run memory.
+    fn job_done(&self) {
+        let done = Arc::clone(&self.done);
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut flag = done.lock.lock();
+            *flag = true;
+            done.cv.notify_all();
+        }
+    }
+
+    /// Blocks until the done gate opens, then takes the first panic.
+    fn wait(&self) -> Option<(Arc<str>, Box<dyn Any + Send + 'static>)> {
+        {
+            let mut flag = self.done.lock.lock();
+            while !*flag {
+                self.done.cv.wait(&mut flag);
+            }
+        }
+        self.panic.lock().take()
+    }
+}
+
 struct RunCtx {
     // The boxes are load-bearing: `succs`/`parent` hold raw pointers into
     // the nodes, so their addresses must survive vector growth.
@@ -131,62 +216,29 @@ struct RunCtx {
     /// Keep-alive storage for dynamically spawned children.
     #[allow(clippy::vec_box)]
     dynamic_nodes: Mutex<Vec<Box<RunNode>>>,
-    /// Tasks not yet completed (grows when subflows spawn children).
-    pending: AtomicUsize,
-    /// Set when a task panicked; remaining closures are skipped.
-    cancelled: AtomicBool,
-    /// First panic: the task's name plus its payload.
-    panic: FirstPanic,
-    done: Arc<DoneGate>,
-    /// Retained-run invoke closure; lifetime erased (`run_dirty` blocks,
-    /// so the borrow outlives every dereference). `None` for `Taskflow`
-    /// runs, which carry their closures in the nodes instead.
-    invoke: Option<*const (dyn Fn(u64, u32) + Send + Sync)>,
+    state: RunState,
 }
 
-/// Reusable storage for retained-graph runs
-/// ([`Executor::run_dirty`]): the materialized run nodes, their address
-/// table, and the run context all survive between runs, growing to the
-/// dirty set's high-water mark so warm re-executions materialize without
-/// allocating.
-#[derive(Default)]
-pub(crate) struct RunPool {
-    #[allow(clippy::vec_box)]
-    nodes: Vec<Box<RunNode>>,
-    ptrs: Vec<*const RunNode>,
-    ctx: Option<Box<RunCtx>>,
+/// The context of one [`Executor::run_dirty`] call, held on the caller's
+/// stack for the duration of the (blocking) run.
+struct RetainedRun<'a> {
+    nodes: &'a Arena<RetainedNode>,
+    invoke: &'a (dyn Fn(u64, u32) + Send + Sync),
+    state: &'a RunState,
 }
 
-// SAFETY: the raw pointers point into the individually boxed run nodes
-// owned by this pool (box contents do not move when the pool moves), and
-// they are only dereferenced during a blocking `run_dirty` call that
-// holds `&mut` access. Shared references expose no field at all.
-unsafe impl Send for RunPool {}
-unsafe impl Sync for RunPool {}
-
-/// Creates an inert pooled run node (overwritten before every use).
-fn blank_node() -> Box<RunNode> {
-    Box::new(RunNode {
-        name: Arc::from(""),
-        work: RunWork::Empty,
-        succs: Vec::new(),
-        join: AtomicUsize::new(0),
-        children: AtomicUsize::new(0),
-        parent: std::ptr::null(),
-        ctx: std::ptr::null(),
-    })
-}
-
-/// Rewrites a pooled run node for the next run, keeping the successor
-/// vector's capacity.
-fn reset_node(node: &mut RunNode, name: &Arc<str>, work: RunWork, join: usize, ctx: *const RunCtx) {
-    node.name = Arc::clone(name);
-    node.work = work;
-    node.succs.clear();
-    *node.join.get_mut() = join;
-    *node.children.get_mut() = 0;
-    node.parent = std::ptr::null();
-    node.ctx = ctx;
+impl RetainedRun<'_> {
+    /// The jobs of a node whose dirty predecessors have all completed:
+    /// one per chunk, or one for a barrier.
+    fn jobs_of(&self, id: NodeId, chunks: u32) -> impl Iterator<Item = Job> {
+        // Jobs erase the borrow; `run_dirty` outlives them (safety model).
+        let run: *const RetainedRun<'static> = (self as *const Self).cast();
+        (0..chunks.max(1)).map(move |chunk| Job::Retained {
+            run,
+            node: id,
+            chunk,
+        })
+    }
 }
 
 struct SleepCtl {
@@ -324,10 +376,12 @@ impl Executor {
     /// `invoke(payload, 0)`, fans call `invoke(payload, chunk)` for every
     /// chunk in parallel with successors gated on all of them.
     ///
-    /// The materialization reuses the graph's internal run pool: after the
-    /// dirty set's high-water mark is reached, warm runs build no new
-    /// nodes and box no closures — the per-run cost is O(|dirty| +
-    /// dirty-incident edges), independent of graph size.
+    /// The run state is flat: each dirty node's join count and chunk
+    /// countdown live in the retained node itself, and completing jobs
+    /// read successors straight from the retained edge lists. Staging a
+    /// run is two passes over the dirty nodes and their out-edges; it
+    /// builds no per-node objects, so a run allocates nothing however
+    /// many nodes it executes.
     ///
     /// Panics in `invoke` are contained exactly like [`Executor::try_run`]
     /// task panics: the run is drained, downstream dirty nodes are
@@ -344,183 +398,55 @@ impl Executor {
         if graph.dirty.is_empty() {
             return Ok(DirtyRunStats::default());
         }
-        // Split borrows: the dirty list and the pool leave the graph for
-        // the duration of the run (their capacity is restored at the end).
-        let dirty = std::mem::take(&mut graph.dirty);
-        let mut pool = std::mem::take(&mut graph.pool);
-
-        // Pass 1: assign each dirty node its run-node range and size the
-        // pool. A fan of c chunks expands to entry + c leaves + exit.
-        let mut total = 0usize;
+        // Pass 1: reset each dirty node's counters and size the run.
         let mut stats = DirtyRunStats {
-            nodes_run: dirty.len(),
+            nodes_run: graph.dirty.len(),
             ..DirtyRunStats::default()
         };
-        for &d in &dirty {
+        let mut jobs = 0usize;
+        for (slot, &d) in graph.dirty.iter().enumerate() {
             let node = &mut graph.nodes[d.key()];
             debug_assert!(node.dirty, "stale entry in dirty list");
             if !node.fresh {
                 stats.nodes_reused += 1;
             }
             stats.tasks_run += node.chunks as usize;
-            let size = if node.chunks > 1 {
-                node.chunks as usize + 2
-            } else {
-                1
-            };
-            node.run_entry = total as u32;
-            node.run_exit = (total + size - 1) as u32;
-            total += size;
+            jobs += node.chunks.max(1) as usize;
+            node.slot = slot as u32;
+            *node.join.get_mut() = 0;
+            *node.chunks_left.get_mut() = node.chunks;
         }
-        while pool.nodes.len() < total {
-            pool.nodes.push(blank_node());
-        }
-        let ctx = pool.ctx.get_or_insert_with(|| {
-            Box::new(RunCtx {
-                _static_nodes: Vec::new(),
-                dynamic_nodes: Mutex::new(Vec::new()),
-                pending: AtomicUsize::new(0),
-                cancelled: AtomicBool::new(false),
-                panic: Mutex::new(None),
-                done: Arc::new(DoneGate {
-                    lock: Mutex::new(false),
-                    cv: Condvar::new(),
-                }),
-                invoke: None,
-            })
-        });
-        ctx.pending.store(total, Ordering::SeqCst);
-        ctx.cancelled.store(false, Ordering::SeqCst);
-        *ctx.panic.lock() = None;
-        *ctx.done.lock.lock() = false;
-        // SAFETY: erases the closure's lifetime; run_dirty blocks until
-        // every task completed, so the borrow outlives all dereferences
-        // (the same argument `run` makes for Taskflow closures).
-        ctx.invoke = Some(unsafe {
-            std::mem::transmute::<
-                &(dyn Fn(u64, u32) + Send + Sync),
-                *const (dyn Fn(u64, u32) + Send + Sync),
-            >(invoke)
-        });
-        let ctx_ptr: *const RunCtx = &**ctx;
-        let done = Arc::clone(&ctx.done);
-
-        // Pass 2: rewrite the pooled run nodes and their internal fan
-        // wiring; cross edges (join counts) are patched in afterwards.
-        for &d in &dirty {
-            let (payload, chunks, name, entry) = {
-                let node = &graph.nodes[d.key()];
-                (
-                    node.payload,
-                    node.chunks,
-                    Arc::clone(&node.name),
-                    node.run_entry as usize,
-                )
-            };
-            if chunks > 1 {
-                reset_node(&mut pool.nodes[entry], &name, RunWork::Empty, 0, ctx_ptr);
-                for k in 0..chunks {
-                    reset_node(
-                        &mut pool.nodes[entry + 1 + k as usize],
-                        &name,
-                        RunWork::Invoke { payload, chunk: k },
-                        1,
-                        ctx_ptr,
-                    );
-                }
-                reset_node(
-                    &mut pool.nodes[entry + 1 + chunks as usize],
-                    &name,
-                    RunWork::Empty,
-                    chunks as usize,
-                    ctx_ptr,
-                );
-            } else {
-                let work = if chunks == 0 {
-                    RunWork::Empty
-                } else {
-                    RunWork::Invoke { payload, chunk: 0 }
-                };
-                reset_node(&mut pool.nodes[entry], &name, work, 0, ctx_ptr);
-            }
-        }
-        pool.ptrs.clear();
-        pool.ptrs
-            .extend(pool.nodes[..total].iter().map(|b| &**b as *const RunNode));
-        for &d in &dirty {
-            let node = &graph.nodes[d.key()];
-            if node.chunks > 1 {
-                let entry = node.run_entry as usize;
-                let exit = node.run_exit as usize;
-                for leaf in entry + 1..exit {
-                    let leaf_ptr = pool.ptrs[leaf];
-                    pool.nodes[entry].succs.push(leaf_ptr);
-                    pool.nodes[leaf].succs.push(pool.ptrs[exit]);
+        // Pass 2: join counts — every edge between two dirty nodes gates
+        // its target. Clean neighbours are skipped entirely. Relaxed is
+        // enough: workers first see these counts through the injector's
+        // lock when the roots are published.
+        let nodes = &graph.nodes;
+        for &d in &graph.dirty {
+            for s in &nodes[d.key()].succs {
+                let succ = &nodes[s.key()];
+                if succ.dirty {
+                    succ.join.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-
-        // Pass 3: cross edges between dirty nodes — exit(pred) gates
-        // entry(succ). Clean neighbours are skipped entirely.
-        for &d in &dirty {
-            let (exit, nsuccs) = {
-                let node = &graph.nodes[d.key()];
-                (node.run_exit as usize, node.succs.len())
-            };
-            for i in 0..nsuccs {
-                let s = graph.nodes[d.key()].succs[i];
-                let succ = &graph.nodes[s.key()];
-                if !succ.dirty {
-                    continue;
-                }
-                let sentry = succ.run_entry as usize;
-                let sptr = pool.ptrs[sentry];
-                pool.nodes[exit].succs.push(sptr);
-                *pool.nodes[sentry].join.get_mut() += 1;
-            }
-        }
-
         #[cfg(debug_assertions)]
-        {
-            // Kahn's algorithm over the materialized subset: a cycle here
-            // would strand the pending counter and hang the run.
-            let idx_of: std::collections::HashMap<*const RunNode, usize> = pool.ptrs[..total]
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(i, p)| (p, i))
-                .collect();
-            let mut indeg: Vec<usize> = pool.nodes[..total]
-                .iter()
-                .map(|n| n.join.load(Ordering::Relaxed))
-                .collect();
-            let mut stack: Vec<usize> = indeg
-                .iter()
-                .enumerate()
-                .filter(|&(_, &deg)| deg == 0)
-                .map(|(i, _)| i)
-                .collect();
-            let mut seen = 0usize;
-            while let Some(i) = stack.pop() {
-                seen += 1;
-                for s in &pool.nodes[i].succs {
-                    let j = idx_of[s];
-                    indeg[j] -= 1;
-                    if indeg[j] == 0 {
-                        stack.push(j);
-                    }
-                }
-            }
-            debug_assert_eq!(seen, total, "retained dirty subset has a dependency cycle");
-        }
+        assert_acyclic(nodes, &graph.dirty);
 
         // Publish the roots and wait for the drain.
+        graph.run.arm(jobs);
+        let run = RetainedRun {
+            nodes,
+            invoke,
+            state: &graph.run,
+        };
         let mut any_root = false;
-        for &d in &dirty {
-            let entry = graph.nodes[d.key()].run_entry as usize;
-            if *pool.nodes[entry].join.get_mut() == 0 {
+        for &d in &graph.dirty {
+            let node = &nodes[d.key()];
+            if node.join.load(Ordering::Relaxed) == 0 {
                 any_root = true;
-                self.inner.injector.push(Job(pool.ptrs[entry]));
+                for job in run.jobs_of(d, node.chunks) {
+                    self.inner.injector.push(job);
+                }
             }
         }
         assert!(
@@ -528,24 +454,16 @@ impl Executor {
             "retained dirty subset has no root: dependency cycle"
         );
         wake_workers(&self.inner);
-        {
-            let mut flag = done.lock.lock();
-            while !*flag {
-                done.cv.wait(&mut flag);
-            }
-        }
+        let panic = run.state.wait();
 
-        // The run is drained: clear the dirty window and return the pool.
-        for &d in &dirty {
+        // The run is drained: clear the dirty window.
+        for &d in &graph.dirty {
             let node = &mut graph.nodes[d.key()];
             node.dirty = false;
             node.fresh = false;
         }
-        graph.dirty = dirty;
         graph.dirty.clear();
-        let payload = pool.ctx.as_ref().and_then(|ctx| ctx.panic.lock().take());
-        graph.pool = pool;
-        match payload {
+        match panic {
             None => Ok(stats),
             Some((task, payload)) => Err(TaskPanic {
                 task,
@@ -611,15 +529,9 @@ impl Executor {
         let ctx = Box::new(RunCtx {
             _static_nodes: nodes,
             dynamic_nodes: Mutex::new(Vec::new()),
-            pending: AtomicUsize::new(n),
-            cancelled: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            done: Arc::new(DoneGate {
-                lock: Mutex::new(false),
-                cv: Condvar::new(),
-            }),
-            invoke: None,
+            state: RunState::default(),
         });
+        ctx.state.arm(n);
         let ctx_ptr: *const RunCtx = &*ctx;
         for b in &ctx._static_nodes {
             // SAFETY: exclusive setup phase; nothing is shared yet.
@@ -633,24 +545,52 @@ impl Executor {
         for (i, node) in tf.nodes.iter().enumerate() {
             if node.num_preds == 0 {
                 any_root = true;
-                self.inner.injector.push(Job(ptrs[i]));
+                self.inner.injector.push(Job::Node(ptrs[i]));
             }
         }
         assert!(any_root, "task graph has no root: dependency cycle");
         debug_assert!(tf.is_acyclic(), "task graph has a dependency cycle");
         wake_workers(&self.inner);
-        // Wait for completion.
-        let done = Arc::clone(&ctx.done);
-        {
-            let mut flag = done.lock.lock();
-            while !*flag {
-                done.cv.wait(&mut flag);
+        ctx.state.wait()
+    }
+}
+
+/// Kahn's algorithm over the dirty subset of a retained graph: a cycle
+/// there would strand the pending counter and hang the run. Its two
+/// buffers are sized once, so debug builds keep `run_dirty`'s
+/// allocation count independent of the graph size too.
+#[cfg(debug_assertions)]
+fn assert_acyclic(nodes: &Arena<RetainedNode>, dirty: &[NodeId]) {
+    let mut indeg: Vec<u32> = dirty
+        .iter()
+        .map(|d| nodes[d.key()].join.load(Ordering::Relaxed))
+        .collect();
+    let mut stack: Vec<NodeId> = Vec::with_capacity(dirty.len());
+    stack.extend(
+        dirty
+            .iter()
+            .copied()
+            .filter(|d| indeg[nodes[d.key()].slot as usize] == 0),
+    );
+    let mut seen = 0usize;
+    while let Some(d) = stack.pop() {
+        seen += 1;
+        for &s in &nodes[d.key()].succs {
+            let succ = &nodes[s.key()];
+            if succ.dirty {
+                let deg = &mut indeg[succ.slot as usize];
+                *deg -= 1;
+                if *deg == 0 {
+                    stack.push(s);
+                }
             }
         }
-        let payload = ctx.panic.lock().take();
-        drop(ctx);
-        payload
     }
+    assert_eq!(
+        seen,
+        dirty.len(),
+        "retained dirty subset has a dependency cycle"
+    );
 }
 
 impl Drop for Executor {
@@ -742,28 +682,36 @@ fn enqueue_local(inner: &Inner, local: &WorkerDeque<Job>, job: Job) {
     wake_workers(inner);
 }
 
-/// Runs one job. See the module safety model for pointer validity.
+/// Runs one job.
+///
+/// # Safety
+/// The job's pointers must be live: the job was published by a run that
+/// has not yet drained (module safety model).
 unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize) {
-    let node = unsafe { &*job.0 };
-    let ctx = unsafe { &*node.ctx };
     inner.tasks_run.fetch_add(1, Ordering::Relaxed);
     qtask_obs::counter!("taskflow.tasks_run").inc();
-    let task_span = qtask_obs::span!(Arc::clone(&node.name));
     let observer = if inner.has_observer.load(Ordering::Acquire) {
         inner.observer.read().clone()
     } else {
         None
     };
-    if let Some(o) = &observer {
-        notify(
-            o,
-            ExecEvent::Begin {
-                name: Arc::clone(&node.name),
-                worker: widx,
-            },
-        );
-    }
-    let cancelled = ctx.cancelled.load(Ordering::Relaxed);
+    let ptr = match job {
+        Job::Node(ptr) => ptr,
+        Job::Retained { run, node, chunk } => {
+            // SAFETY: `run_dirty` holds its `RetainedRun` (and the graph
+            // it borrows) until every job of the run completed.
+            let run = unsafe { &*run };
+            execute_retained(run, node, chunk, &observer, inner, local, widx);
+            return;
+        }
+    };
+    // SAFETY: the run's context keeps its nodes alive until every job
+    // completed (module safety model).
+    let node = unsafe { &*ptr };
+    let ctx = unsafe { &*node.ctx };
+    let task_span = qtask_obs::span!(Arc::clone(&node.name));
+    task_begin(&observer, &node.name, widx);
+    let cancelled = ctx.state.cancelled.load(Ordering::Relaxed);
     let mut deferred = false;
     match &node.work {
         RunWork::Empty => {}
@@ -774,7 +722,7 @@ unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize
                     task_probe();
                     f()
                 })) {
-                    record_panic(ctx, &node.name, p);
+                    ctx.state.record_panic(&node.name, p);
                 }
             }
         }
@@ -791,7 +739,7 @@ unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize
                             deferred = unsafe { spawn_children(ctx, node, sf, inner, local) };
                         }
                     }
-                    Err(p) => record_panic(ctx, &node.name, p),
+                    Err(p) => ctx.state.record_panic(&node.name, p),
                 }
             }
         }
@@ -805,39 +753,87 @@ unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize
                         task_probe();
                         work()
                     })) {
-                        record_panic(ctx, &node.name, p);
+                        ctx.state.record_panic(&node.name, p);
                     }
-                }
-            }
-        }
-        RunWork::Invoke { payload, chunk } => {
-            if !cancelled {
-                let f = ctx.invoke.expect("Invoke node outside a retained run");
-                // SAFETY: run_dirty blocks until this run completes, so
-                // the caller's closure outlives every dereference.
-                let f = unsafe { &*f };
-                let (payload, chunk) = (*payload, *chunk);
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    task_probe();
-                    f(payload, chunk)
-                })) {
-                    record_panic(ctx, &node.name, p);
                 }
             }
         }
     }
     drop(task_span);
-    if let Some(o) = &observer {
+    task_end(&observer, &node.name, widx);
+    if !deferred {
+        unsafe { finish(node, ctx, inner, local) };
+    }
+}
+
+/// Runs one chunk of a retained node. The node completes with its last
+/// chunk, which releases every dirty successor whose join count it
+/// drops to zero.
+fn execute_retained(
+    run: &RetainedRun<'_>,
+    id: NodeId,
+    chunk: u32,
+    observer: &Option<Arc<dyn Observer>>,
+    inner: &Inner,
+    local: &WorkerDeque<Job>,
+    widx: usize,
+) {
+    let node = &run.nodes[id.key()];
+    let task_span = qtask_obs::span!(Arc::clone(&node.name));
+    task_begin(observer, &node.name, widx);
+    if node.chunks > 0 && !run.state.cancelled.load(Ordering::Relaxed) {
+        let payload = node.payload;
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+            task_probe();
+            (run.invoke)(payload, chunk)
+        })) {
+            run.state.record_panic(&node.name, p);
+        }
+    }
+    drop(task_span);
+    task_end(observer, &node.name, widx);
+    // AcqRel on both countdowns: each decrement releases this job's
+    // writes, and the decrement that reaches zero acquires those of every
+    // earlier chunk and predecessor before the node (or successor) runs.
+    if node.chunks <= 1 || node.chunks_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let mut released = false;
+        for &s in &node.succs {
+            let succ = &run.nodes[s.key()];
+            if succ.dirty && succ.join.fetch_sub(1, Ordering::AcqRel) == 1 {
+                released = true;
+                for job in run.jobs_of(s, succ.chunks) {
+                    local.push(job);
+                }
+            }
+        }
+        if released {
+            wake_workers(inner);
+        }
+    }
+    run.state.job_done();
+}
+
+fn task_begin(observer: &Option<Arc<dyn Observer>>, name: &Arc<str>, worker: usize) {
+    if let Some(o) = observer {
         notify(
             o,
-            ExecEvent::End {
-                name: Arc::clone(&node.name),
-                worker: widx,
+            ExecEvent::Begin {
+                name: Arc::clone(name),
+                worker,
             },
         );
     }
-    if !deferred {
-        unsafe { finish(node, ctx, inner, local) };
+}
+
+fn task_end(observer: &Option<Arc<dyn Observer>>, name: &Arc<str>, worker: usize) {
+    if let Some(o) = observer {
+        notify(
+            o,
+            ExecEvent::End {
+                name: Arc::clone(name),
+                worker,
+            },
+        );
     }
 }
 
@@ -846,14 +842,6 @@ unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize
 /// pending counter and hang `run()` forever), so its panics are swallowed.
 fn notify(o: &Arc<dyn Observer>, ev: ExecEvent) {
     let _ = catch_unwind(AssertUnwindSafe(|| o.on_event(&ev)));
-}
-
-fn record_panic(ctx: &RunCtx, task: &Arc<str>, payload: Box<dyn Any + Send + 'static>) {
-    ctx.cancelled.store(true, Ordering::Relaxed);
-    let mut slot = ctx.panic.lock();
-    if slot.is_none() {
-        *slot = Some((Arc::clone(task), payload));
-    }
 }
 
 /// Materializes subflow children and schedules their roots, returning
@@ -880,8 +868,7 @@ unsafe fn spawn_children(
         .map(|(i, _)| i)
         .collect();
     if roots.is_empty() {
-        record_panic(
-            ctx,
+        ctx.state.record_panic(
             &parent.name,
             Box::new(format!(
                 "subflow '{}' has no root: dependency cycle",
@@ -890,7 +877,7 @@ unsafe fn spawn_children(
         );
         return false;
     }
-    ctx.pending.fetch_add(n, Ordering::SeqCst);
+    ctx.state.pending.fetch_add(n, Ordering::SeqCst);
     parent.children.store(n, Ordering::Release);
     let mut boxes: Vec<Box<RunNode>> = Vec::with_capacity(n);
     for (i, t) in sf.tasks.iter_mut().enumerate() {
@@ -913,7 +900,7 @@ unsafe fn spawn_children(
     // Keep children alive for the rest of the run *before* publishing jobs.
     ctx.dynamic_nodes.lock().extend(boxes);
     for r in roots {
-        enqueue_local(inner, local, Job(ptrs[r]));
+        enqueue_local(inner, local, Job::Node(ptrs[r]));
     }
     true
 }
@@ -924,7 +911,7 @@ unsafe fn finish(node: &RunNode, ctx: &RunCtx, inner: &Inner, local: &WorkerDequ
     for &s in &node.succs {
         let succ = unsafe { &*s };
         if succ.join.fetch_sub(1, Ordering::AcqRel) == 1 {
-            enqueue_local(inner, local, Job(s));
+            enqueue_local(inner, local, Job::Node(s));
         }
     }
     if !node.parent.is_null() {
@@ -933,14 +920,7 @@ unsafe fn finish(node: &RunNode, ctx: &RunCtx, inner: &Inner, local: &WorkerDequ
             unsafe { finish(parent, ctx, inner, local) };
         }
     }
-    // Clone the gate *before* the final decrement so the signal never
-    // touches freed context memory.
-    let done = Arc::clone(&ctx.done);
-    if ctx.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let mut flag = done.lock.lock();
-        *flag = true;
-        done.cv.notify_all();
-    }
+    ctx.state.job_done();
 }
 
 #[cfg(test)]

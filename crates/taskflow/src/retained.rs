@@ -32,6 +32,7 @@
 //! incrementality ("this edit patched O(edit) nodes, not O(graph)").
 
 use qtask_util::{define_key, Arena};
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 define_key! {
@@ -52,10 +53,12 @@ pub(crate) struct RetainedNode {
     pub(crate) dirty: bool,
     /// Created since the last run (not yet a "reused" node).
     pub(crate) fresh: bool,
-    /// Materialization scratch: first/last run-node index of this node in
-    /// the current `run_dirty` (only meaningful while `dirty` is set).
-    pub(crate) run_entry: u32,
-    pub(crate) run_exit: u32,
+    /// Run state of the current `run_dirty` (only meaningful while
+    /// `dirty` is set): dirty predecessors not yet complete, chunks not
+    /// yet complete, and this node's index in the run's dirty list.
+    pub(crate) join: AtomicU32,
+    pub(crate) chunks_left: AtomicU32,
+    pub(crate) slot: u32,
 }
 
 /// Statistics of one [`Executor::run_dirty`](crate::Executor::run_dirty)
@@ -81,9 +84,9 @@ pub struct RetainedGraph {
     /// Structural patches (node/edge inserts and removals) since the
     /// last [`RetainedGraph::take_patches`].
     patches: usize,
-    /// Reusable run-node storage for `run_dirty` (grows to the dirty
-    /// set's high-water mark, then re-runs allocation-free).
-    pub(crate) pool: crate::executor::RunPool,
+    /// Completion bookkeeping reused by every `run_dirty` (pending
+    /// count, first panic, done gate).
+    pub(crate) run: crate::executor::RunState,
 }
 
 impl RetainedGraph {
@@ -120,8 +123,9 @@ impl RetainedGraph {
             preds: Vec::new(),
             dirty: false,
             fresh: true,
-            run_entry: 0,
-            run_exit: 0,
+            join: AtomicU32::new(0),
+            chunks_left: AtomicU32::new(0),
+            slot: 0,
         }));
         self.mark_dirty(id);
         id
@@ -182,6 +186,11 @@ impl RetainedGraph {
     /// Successors of `id` (live view of the patched edge list).
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
         &self.nodes[id.key()].succs
+    }
+
+    /// Predecessors of `id` (live view of the patched edge list).
+    pub fn preds(&self, id: NodeId) -> &[NodeId] {
+        &self.nodes[id.key()].preds
     }
 
     /// True if `id` points at a live node.

@@ -113,8 +113,17 @@ mod tests {
     // pure accounting helpers.
     use super::*;
 
+    /// The counters are process-global: the two tests that move them hold
+    /// this lock, so neither sees the other's bytes mid-assertion.
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
+        COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counters_move() {
+        let _guard = counter_guard();
         let before = CountingAlloc::live_bytes();
         let calls_before = CountingAlloc::alloc_calls();
         on_alloc(1024);
@@ -127,6 +136,7 @@ mod tests {
 
     #[test]
     fn reset_peak_tracks_live() {
+        let _guard = counter_guard();
         on_alloc(4096);
         CountingAlloc::reset_peak();
         let p = CountingAlloc::peak_bytes();

@@ -194,6 +194,20 @@ impl<T> Arena<T> {
         self.get(key).is_some()
     }
 
+    /// The key of the live element in slot `index`, if there is one —
+    /// the inverse of [`Key::index`] for callers that mark elements in
+    /// index-keyed bitsets.
+    #[inline]
+    pub fn key_at(&self, index: usize) -> Option<Key> {
+        match self.slots.get(index) {
+            Some(Slot::Occupied { generation, .. }) => Some(Key {
+                index: index as u32,
+                generation: *generation,
+            }),
+            _ => None,
+        }
+    }
+
     /// Returns mutable references to two distinct live elements.
     ///
     /// # Panics
@@ -432,6 +446,11 @@ mod tests {
         assert_eq!(k1.index(), k2.index());
         assert_eq!(a.get(k1), None);
         assert_eq!(a[k2], 2);
+        // The slot's current key is recoverable from its index alone.
+        assert_eq!(a.key_at(k2.index()), Some(k2));
+        a.remove(k2);
+        assert_eq!(a.key_at(k2.index()), None);
+        assert_eq!(a.key_at(99), None);
     }
 
     #[test]

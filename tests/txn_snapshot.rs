@@ -5,6 +5,8 @@
 use qtask::prelude::*;
 use qtask_partition::kernels;
 use rand::prelude::*;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Replays the engine's current circuit on a flat vector (the shared
 /// gate-at-a-time oracle).
@@ -336,4 +338,153 @@ fn disabled_policy_still_captures_on_demand() {
     ));
     assert!(snap.capture_report().blocks_resolved > 0);
     assert!(ckt.latest_snapshot().is_none(), "one-off, not retained");
+}
+
+/// Records every publication's write set.
+#[derive(Default)]
+struct DeltaLog(std::sync::Mutex<Vec<qtask_core::BlockDelta>>);
+
+impl qtask_core::SnapshotObserver for DeltaLog {
+    fn on_publish(&self, _snap: &StateSnapshot, delta: &qtask_core::BlockDelta) {
+        self.0.lock().unwrap().push(delta.clone());
+    }
+}
+
+/// What the next update must execute, read off the engine's public
+/// introspection: the frontier's successor closure (from the DOT dump's
+/// edges, with frontier flags from `debug_partitions`). Returns the
+/// closure's size and the union of its non-sync partitions' block spans.
+fn pending_write_set(ckt: &Ckt) -> (usize, BTreeSet<usize>) {
+    // DOT nodes: `  p<slot> [label="<row>[<lo>,<hi>]" shape=<shape>];`
+    // and edges: `  p<a> -> p<b>;`.
+    let dot = ckt.dump_graph_string();
+    let mut node_of = HashMap::new();
+    let mut span_of = HashMap::new();
+    let mut succs: HashMap<usize, Vec<usize>> = HashMap::new();
+    for line in dot.lines().map(str::trim) {
+        if let Some((a, b)) = line.split_once(" -> ") {
+            let a: usize = a[1..].parse().unwrap();
+            let b: usize = b.trim_end_matches(';')[1..].parse().unwrap();
+            succs.entry(a).or_default().push(b);
+        } else if let Some((id, rest)) = line.split_once(" [label=\"") {
+            let id: usize = id[1..].parse().unwrap();
+            let (label, shape) = rest.split_once("\" shape=").unwrap();
+            let (row, range) = label.split_once('[').unwrap();
+            let (lo, hi) = range.trim_end_matches(']').split_once(',').unwrap();
+            let (lo, hi): (u32, u32) = (lo.parse().unwrap(), hi.parse().unwrap());
+            assert!(
+                node_of.insert((row.to_string(), lo, hi), id).is_none(),
+                "partition names are unique in this circuit"
+            );
+            let sync = shape.starts_with("diamond");
+            span_of.insert(id, (!sync).then_some(lo as usize..=hi as usize));
+        }
+    }
+    let mut stack: Vec<usize> = ckt
+        .debug_partitions()
+        .into_iter()
+        .filter(|p| p.5)
+        .map(|(row, lo, hi, ..)| node_of[&(row, lo, hi)])
+        .collect();
+    let mut closure = BTreeSet::new();
+    while let Some(p) = stack.pop() {
+        if closure.insert(p) {
+            stack.extend(succs.get(&p).into_iter().flatten().copied());
+        }
+    }
+    let blocks = closure
+        .iter()
+        .filter_map(|p| span_of[p].clone())
+        .flatten()
+        .collect();
+    (closure.len(), blocks)
+}
+
+/// The write set a publication reports is exactly the work it did. The
+/// first publication after a full build resolves every block once and
+/// announces a `full` delta; after a later edit (one gate inserted
+/// mid-circuit, one removed), `BlockDelta::dirty` is sorted and equals
+/// the spans of the executed non-sync partitions plus the blocks the
+/// removed row owned.
+#[test]
+fn block_delta_is_the_update_write_set() {
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 2;
+    let mut ckt = Ckt::with_config(6, cfg);
+    let log = Arc::new(DeltaLog::default());
+    ckt.attach_observer(log.clone());
+    let mut nets = Vec::new();
+    for layer in 0..6u8 {
+        let net = ckt.push_net();
+        nets.push(net);
+        match layer % 3 {
+            0 => {
+                ckt.insert_gate(GateKind::H, net, &[layer % 6]).unwrap();
+                ckt.insert_gate(GateKind::Ry(0.3), net, &[(layer + 3) % 6])
+                    .unwrap();
+            }
+            1 => {
+                ckt.insert_gate(GateKind::Cx, net, &[layer % 6, (layer + 2) % 6])
+                    .unwrap();
+            }
+            _ => {
+                ckt.insert_gate(GateKind::T, net, &[layer % 6]).unwrap();
+                ckt.insert_gate(GateKind::X, net, &[(layer + 1) % 6])
+                    .unwrap();
+            }
+        }
+    }
+    let num_blocks = ckt.geometry().num_blocks();
+    let report = ckt.update_state().unwrap();
+    assert_eq!(
+        report.snapshot_blocks_resolved, num_blocks as u64,
+        "the first publication resolves every block exactly once"
+    );
+    {
+        let deltas = log.0.lock().unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert!(deltas[0].full, "first publication is a full rebuild");
+        assert!(deltas[0].dirty.is_empty());
+        assert_eq!(deltas[0].prev_version, 0);
+    }
+
+    // One gate inserted mid-circuit, and the first X removed: its row's
+    // owned blocks resolve through to earlier rows now.
+    let x_gate = ckt
+        .circuit()
+        .ordered_gates()
+        .find(|(_, g)| g.kind() == GateKind::X)
+        .map(|(id, _)| id)
+        .unwrap();
+    ckt.insert_gate(GateKind::S, nets[1], &[4]).unwrap();
+    let rows_before = ckt.debug_rows();
+    ckt.remove_gate(x_gate).unwrap();
+    let rows_after: BTreeSet<String> = ckt.debug_rows().into_iter().map(|r| r.0).collect();
+    let removed_blocks: BTreeSet<usize> = rows_before
+        .into_iter()
+        .filter(|(label, _)| !rows_after.contains(label))
+        .flat_map(|(_, owned)| owned)
+        .collect();
+    assert!(!removed_blocks.is_empty(), "the removed row owned blocks");
+    let (executed, mut expected) = pending_write_set(&ckt);
+    expected.extend(removed_blocks);
+
+    let report = ckt.update_state().unwrap();
+    assert_eq!(report.partitions_executed, executed);
+    let deltas = log.0.lock().unwrap();
+    assert_eq!(deltas.len(), 2);
+    let delta = &deltas[1];
+    assert!(!delta.full);
+    assert!(
+        delta.dirty.windows(2).all(|w| w[0] < w[1]),
+        "dirty is strictly ascending: {:?}",
+        delta.dirty
+    );
+    assert_eq!(delta.dirty, expected.into_iter().collect::<Vec<_>>());
+    assert_eq!(report.snapshot_blocks_resolved, delta.dirty.len() as u64);
+    assert!(qtask::num::vecops::approx_eq(
+        &ckt.latest_snapshot().unwrap().state(),
+        &oracle_state(&ckt),
+        1e-12
+    ));
 }
