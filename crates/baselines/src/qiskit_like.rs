@@ -8,23 +8,21 @@
 //! gate reads an input buffer and writes a separate output buffer, the
 //! style of a matrix-pipeline backend.
 
-use crate::common::Simulator;
+use crate::common::{ParallelFor, Simulator};
 use qtask_circuit::{Circuit, CircuitError, Gate, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64, Mat2};
 use qtask_partition::kernels::dense_pattern;
-use qtask_taskflow::{Executor, Taskflow};
+use qtask_taskflow::Executor;
 use qtask_util::DisjointSlice;
 use std::sync::Arc;
-
-const MIN_PAR_ITEMS: u64 = 4096;
 
 /// A Qiskit-style baseline: generic matrix dispatch, functional buffer
 /// copies, full re-simulation per update.
 pub struct QiskitLike {
     circuit: Circuit,
     state: Vec<Complex64>,
-    executor: Arc<Executor>,
+    par: ParallelFor,
 }
 
 impl QiskitLike {
@@ -38,7 +36,7 @@ impl QiskitLike {
         QiskitLike {
             circuit: Circuit::new(num_qubits),
             state: vecops::ket_zero(num_qubits as usize),
-            executor,
+            par: ParallelFor::new(executor),
         }
     }
 
@@ -75,26 +73,17 @@ impl QiskitLike {
         self.state = out;
     }
 
-    fn dense_into(&self, controls: u64, target: u8, mat: &Mat2, n: u8, out: &mut [Complex64]) {
+    fn dense_into(&mut self, controls: u64, target: u8, mat: &Mat2, n: u8, out: &mut [Complex64]) {
         let total = dense_pattern(controls, target, n).num_items();
-        let threads = self.executor.num_threads() as u64;
-        let chunk = (total.div_ceil(threads.max(1) * 4)).max(MIN_PAR_ITEMS);
         let input = &self.state;
-        if chunk >= total {
+        let Some(chunk) = self.par.chunk_size(total) else {
             dense_chunk(input, out, controls, target, mat, n, 0..total);
             return;
-        }
+        };
         let view = DisjointSlice::new(out);
-        let mut tf = Taskflow::new("qiskit-gate");
-        let mut start = 0;
-        while start < total {
-            let end = (start + chunk).min(total);
-            tf.emplace(format!("[{start},{end})"), move || {
-                dense_chunk_view(input, view, controls, target, mat, n, start..end);
-            });
-            start = end;
-        }
-        self.executor.run(&tf);
+        self.par.run(total, chunk, &|ranks| {
+            dense_chunk_view(input, view, controls, target, mat, n, ranks)
+        });
     }
 }
 

@@ -7,26 +7,22 @@
 //! levels"). Every `update_state` re-simulates from |0…0⟩: no
 //! incrementality, exactly like the real tool.
 
-use crate::common::Simulator;
+use crate::common::{ParallelFor, Simulator};
 use qtask_circuit::{Circuit, CircuitError, GateId, NetId};
 use qtask_gates::GateKind;
 use qtask_num::{slices, vecops, Complex64, Mat2};
 use qtask_partition::kernels;
 use qtask_partition::{lower_gate, LinearOp, LoweredGate};
-use qtask_taskflow::{Executor, Taskflow};
+use qtask_taskflow::Executor;
 use qtask_util::DisjointSlice;
 use std::sync::Arc;
-
-/// Minimum items per parallel chunk; below this the per-task overhead
-/// dominates and the gate is applied serially.
-const MIN_PAR_ITEMS: u64 = 4096;
 
 /// A Qulacs-style baseline: specialized kernels, per-gate parallel-for
 /// with inter-gate barriers, full re-simulation per update.
 pub struct QulacsLike {
     circuit: Circuit,
     state: Vec<Complex64>,
-    executor: Arc<Executor>,
+    par: ParallelFor,
 }
 
 impl QulacsLike {
@@ -40,7 +36,7 @@ impl QulacsLike {
         QulacsLike {
             circuit: Circuit::new(num_qubits),
             state: vecops::ket_zero(num_qubits as usize),
-            executor,
+            par: ParallelFor::new(executor),
         }
     }
 
@@ -51,27 +47,18 @@ impl QulacsLike {
 
     fn apply_gate_parallel(&mut self, kind: GateKind, controls: u64, targets: &[u8]) {
         let n = self.num_qubits();
-        let threads = self.executor.num_threads() as u64;
         match lower_gate(kind, controls, targets) {
             LoweredGate::Identity => {}
             LoweredGate::Linear(op) => {
                 let total = op.pattern(n).num_items();
-                let chunk = chunk_size(total, threads);
-                if chunk >= total {
+                let Some(chunk) = self.par.chunk_size(total) else {
                     kernels::apply_linear(&op, n, &mut self.state);
                     return;
-                }
+                };
                 let view = DisjointSlice::new(&mut self.state);
-                let mut tf = Taskflow::new("qulacs-gate");
-                let mut start = 0;
-                while start < total {
-                    let end = (start + chunk).min(total);
-                    tf.emplace(format!("[{start},{end})"), move || {
-                        apply_linear_view(&op, n, view, start..end);
-                    });
-                    start = end;
-                }
-                self.executor.run(&tf);
+                self.par.run(total, chunk, &|ranks| {
+                    apply_linear_view(&op, n, view, ranks)
+                });
             }
             LoweredGate::Dense {
                 controls,
@@ -79,29 +66,17 @@ impl QulacsLike {
                 mat,
             } => {
                 let total = kernels::dense_pattern(controls, target, n).num_items();
-                let chunk = chunk_size(total, threads);
-                if chunk >= total {
+                let Some(chunk) = self.par.chunk_size(total) else {
                     kernels::apply_dense(controls, target, &mat, n, &mut self.state);
                     return;
-                }
+                };
                 let view = DisjointSlice::new(&mut self.state);
-                let mut tf = Taskflow::new("qulacs-dense");
-                let mut start = 0;
-                while start < total {
-                    let end = (start + chunk).min(total);
-                    tf.emplace(format!("[{start},{end})"), move || {
-                        apply_dense_view(controls, target, &mat, n, view, start..end);
-                    });
-                    start = end;
-                }
-                self.executor.run(&tf);
+                self.par.run(total, chunk, &|ranks| {
+                    apply_dense_view(controls, target, &mat, n, view, ranks)
+                });
             }
         }
     }
-}
-
-fn chunk_size(total: u64, threads: u64) -> u64 {
-    (total.div_ceil(threads.max(1) * 4)).max(MIN_PAR_ITEMS)
 }
 
 /// Applies a linear op's rank range through a disjoint-write view, a
@@ -219,8 +194,8 @@ impl Simulator for QulacsLike {
             .map(|(_, g)| (g.kind(), g.control_mask(), g.targets().to_vec()))
             .collect();
         for (kind, controls, targets) in gates {
-            // Barrier between gates: `run` blocks until the gate's
-            // parallel-for completes (the Qulacs synchronization model).
+            // Barrier between gates: the gate's parallel-for returns only
+            // once every chunk completed (the Qulacs synchronization model).
             self.apply_gate_parallel(kind, controls, &targets);
         }
     }

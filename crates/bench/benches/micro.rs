@@ -7,7 +7,7 @@ use qtask_core::{Ckt, ResolvePolicy, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::{derive_partitions, kernels, BlockGeometry, LinearOp};
-use qtask_taskflow::{Executor, Taskflow};
+use qtask_taskflow::{Executor, RetainedGraph};
 use std::hint::black_box;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -77,14 +77,14 @@ fn bench_executor(c: &mut Criterion) {
     g.bench_function("run_1000_noop_tasks", |b| {
         b.iter_batched(
             || {
-                let mut tf = Taskflow::new("micro");
+                let mut graph = RetainedGraph::new();
                 let name: std::sync::Arc<str> = std::sync::Arc::from("t");
-                for _ in 0..1000 {
-                    tf.emplace_empty(name.clone());
+                for i in 0..1000 {
+                    graph.insert(i, 1, name.clone());
                 }
-                tf
+                graph
             },
-            |tf| ex.run(&tf),
+            |mut graph| ex.run_dirty(&mut graph, &|_, _| {}).unwrap(),
             BatchSize::SmallInput,
         )
     });

@@ -1114,9 +1114,9 @@ impl Ckt {
         drop(build_span);
         let kernel_span = qtask_obs::span!("update/kernel");
         let t1 = Instant::now();
-        // `run_dirty` survives panicking tasks the same way `try_run`
-        // does: dependents are cancelled, the rest drain, and the first
-        // panic is reported here instead of unwinding a worker.
+        // `run_dirty` contains panicking tasks: dependents are cancelled,
+        // the rest drain, and the first panic is reported here instead of
+        // unwinding a worker.
         let run_result = self.executor.run_dirty(&mut self.graph, &invoke);
         let run_elapsed = t1.elapsed();
         drop(kernel_span);

@@ -1,59 +1,54 @@
 //! The work-stealing executor.
 //!
-//! A persistent pool of workers executes two kinds of graph. A one-shot
-//! [`Taskflow`] run builds a private `RunCtx` of run nodes (join
-//! counters, successor pointers); subflow tasks append child run nodes
-//! dynamically, and a parent completes — firing its successors and its
-//! own pending slot — only after its last child completes. A
-//! [`RetainedGraph`] run ([`Executor::run_dirty`]) builds no run nodes at
-//! all: its join counts and chunk countdowns live in the retained nodes
+//! A persistent pool of workers executes the dirty subset of a
+//! [`RetainedGraph`] ([`Executor::run_dirty`]). A run builds no per-node
+//! objects: join counts and chunk countdowns live in the retained nodes
 //! themselves, and successors are read from the retained edge lists.
-//! Either way, workers pop jobs from their local LIFO deque, then steal
-//! from the global injector and from each other (crossbeam-deque), and
-//! park on a condition variable when idle.
+//! There is one job kind, a chunk `(run, node, chunk)`; a node's last
+//! chunk to finish releases its dirty successors. Workers pop jobs from
+//! their local LIFO deque, then steal from the global injector and from
+//! each other (crossbeam-deque), and park on a condition variable when
+//! idle.
 //!
 //! # Safety model
 //!
-//! Jobs are raw pointers into the run's storage: a `Taskflow` run node,
-//! or the stack-held `RetainedRun` of a blocking `run_dirty` call. Three
-//! invariants make this sound:
+//! A job holds a raw pointer to the `RetainedRun` on the stack of the
+//! blocking `run_dirty` call that published it. Three invariants make
+//! this sound:
 //!
-//! 1. **Stability** — run nodes are individually boxed; child nodes are
-//!    appended under a mutex into the context's keep-alive vector *before*
-//!    any job pointing at them is published. A retained graph is borrowed
-//!    for the whole `run_dirty` call, so its nodes cannot move or change
-//!    shape while jobs point into it.
-//! 2. **Liveness** — `run()` and `run_dirty()` keep their context alive
-//!    until the done-gate flag is set, and the flag is set only after the
-//!    final `pending` decrement; every job is consumed before that
-//!    decrement, so no worker dereferences a node after the context is
-//!    freed. The done gate itself is a separate `Arc` cloned *before* the
-//!    final decrement's signal.
-//! 3. **Borrow validity** — task closures may borrow the caller's
-//!    environment (`'env`); `run()` blocks the caller until every task
-//!    completed, so those borrows outlive all uses (the same argument
-//!    `std::thread::scope` and rayon's `scope` make).
+//! 1. **Stability** — the retained graph is mutably borrowed for the
+//!    whole `run_dirty` call, so its nodes cannot move or change shape
+//!    while jobs point into it; workers mutate only the atomic
+//!    countdowns.
+//! 2. **Exactly-once release** — each dirty node's jobs are published
+//!    once: a root by `run_dirty` (the root set is fixed from the dirty
+//!    flags and predecessor lists before the first job is published), any
+//!    other node by the completion that drops its join count to zero.
+//!    So `pending`, which starts at the run's job count, reaches zero only
+//!    after every job completed.
+//! 3. **Liveness** — `run_dirty` keeps its `RetainedRun` (and the
+//!    `invoke` closure it borrows) alive until the done gate opens, and
+//!    the gate opens only on the final `pending` decrement, which is each
+//!    job's last access to the run. The done gate itself is a separate
+//!    `Arc` cloned *before* that decrement.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::graph::{Subflow, Taskflow, Work};
-use crate::observer::{ExecEvent, Observer};
 use crate::retained::{DirtyRunStats, NodeId, RetainedGraph, RetainedNode};
 use qtask_util::Arena;
 
 /// Structured description of a task panic, returned by
-/// [`Executor::try_run`]. The graph is always drained before this is
-/// produced — no task is left queued and the executor stays usable.
+/// [`Executor::run_dirty`]. The run is always drained before this is
+/// produced — no job is left queued and the executor stays usable.
 #[derive(Debug, Clone)]
 pub struct TaskPanic {
-    /// Name of the first task that panicked.
+    /// Name of the first node that panicked.
     pub task: Arc<str>,
     /// The panic payload rendered as text (`&str`/`String` payloads are
     /// preserved verbatim; anything else becomes a placeholder).
@@ -88,45 +83,18 @@ fn task_probe() {
     qtask_faults::fault_point!("taskflow/task");
 }
 
-/// A unit of scheduled work.
+/// A unit of scheduled work: one chunk of a dirty retained-graph node
+/// (chunk 0 for barriers and single calls).
 #[derive(Clone, Copy)]
-enum Job {
-    /// A live `Taskflow` run node.
-    Node(*const RunNode),
-    /// One chunk of a dirty retained-graph node (chunk 0 for barriers
-    /// and single calls).
-    Retained {
-        run: *const RetainedRun<'static>,
-        node: NodeId,
-        chunk: u32,
-    },
+struct Job {
+    run: *const RetainedRun<'static>,
+    node: NodeId,
+    chunk: u32,
 }
 
-// SAFETY: the pointees are kept alive for the whole run (module safety
-// model) and all mutation goes through atomics or the once-only Child
-// cell.
+// SAFETY: the run outlives every job it published (module safety model),
+// and workers mutate it only through atomics and the panic mutex.
 unsafe impl Send for Job {}
-
-enum RunWork {
-    Empty,
-    /// Borrowed from the Taskflow graph; lifetime erased (see module docs).
-    Static(*const (dyn Fn() + Send + Sync)),
-    /// Borrowed from the Taskflow graph; lifetime erased.
-    Dynamic(*const (dyn Fn(&mut Subflow<'static>) + Send + Sync)),
-    /// A subflow child, created at runtime and executed exactly once.
-    Child(UnsafeCell<Option<Box<dyn FnOnce() + Send>>>),
-}
-
-struct RunNode {
-    name: Arc<str>,
-    work: RunWork,
-    succs: Vec<*const RunNode>,
-    join: AtomicUsize,
-    /// Remaining children before this (subflow) node completes.
-    children: AtomicUsize,
-    parent: *const RunNode,
-    ctx: *const RunCtx,
-}
 
 struct DoneGate {
     lock: Mutex<bool>,
@@ -141,9 +109,9 @@ type FirstPanic = Mutex<Option<(Arc<str>, Box<dyn Any + Send + 'static>)>>;
 /// retained graph keeps one across runs, so a warm `run_dirty` allocates
 /// none of it.
 pub(crate) struct RunState {
-    /// Jobs not yet completed (grows when subflows spawn children).
+    /// Jobs not yet completed.
     pending: AtomicUsize,
-    /// Set when a task panicked; remaining closures are skipped.
+    /// Set when a task panicked; remaining invocations are skipped.
     cancelled: AtomicBool,
     /// First panic: the task's name plus its payload.
     panic: FirstPanic,
@@ -188,7 +156,9 @@ impl RunState {
     /// decrement, so the signal never touches freed run memory.
     fn job_done(&self) {
         let done = Arc::clone(&self.done);
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let pending = self.pending.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(pending > 0, "a run completed more jobs than it published");
+        if pending == 1 {
             let mut flag = done.lock.lock();
             *flag = true;
             done.cv.notify_all();
@@ -207,18 +177,6 @@ impl RunState {
     }
 }
 
-struct RunCtx {
-    // The boxes are load-bearing: `succs`/`parent` hold raw pointers into
-    // the nodes, so their addresses must survive vector growth.
-    /// Keep-alive storage for the static run nodes.
-    #[allow(clippy::vec_box)]
-    _static_nodes: Vec<Box<RunNode>>,
-    /// Keep-alive storage for dynamically spawned children.
-    #[allow(clippy::vec_box)]
-    dynamic_nodes: Mutex<Vec<Box<RunNode>>>,
-    state: RunState,
-}
-
 /// The context of one [`Executor::run_dirty`] call, held on the caller's
 /// stack for the duration of the (blocking) run.
 struct RetainedRun<'a> {
@@ -233,7 +191,7 @@ impl RetainedRun<'_> {
     fn jobs_of(&self, id: NodeId, chunks: u32) -> impl Iterator<Item = Job> {
         // Jobs erase the borrow; `run_dirty` outlives them (safety model).
         let run: *const RetainedRun<'static> = (self as *const Self).cast();
-        (0..chunks.max(1)).map(move |chunk| Job::Retained {
+        (0..chunks.max(1)).map(move |chunk| Job {
             run,
             node: id,
             chunk,
@@ -254,14 +212,12 @@ struct Inner {
     stealers: Vec<Stealer<Job>>,
     sleep: SleepCtl,
     shutdown: AtomicBool,
-    observer: RwLock<Option<Arc<dyn Observer>>>,
-    has_observer: AtomicBool,
-    /// Lifetime count of tasks executed (cancelled nodes included —
-    /// they're still drained through a worker).
+    /// Lifetime count of jobs executed (barriers and cancelled chunks
+    /// included — they're still drained through a worker).
     tasks_run: AtomicU64,
 }
 
-/// A persistent work-stealing thread pool executing [`Taskflow`] graphs.
+/// A persistent work-stealing thread pool executing [`RetainedGraph`]s.
 pub struct Executor {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
@@ -285,8 +241,6 @@ impl Executor {
                 sleepers: AtomicUsize::new(0),
             },
             shutdown: AtomicBool::new(false),
-            observer: RwLock::new(None),
-            has_observer: AtomicBool::new(false),
             tasks_run: AtomicU64::new(0),
         });
         let handles = deques
@@ -325,47 +279,6 @@ impl Executor {
         self.inner.tasks_run.load(Ordering::Relaxed)
     }
 
-    /// Installs (or clears) an execution observer.
-    pub fn set_observer(&self, obs: Option<Arc<dyn Observer>>) {
-        self.inner
-            .has_observer
-            .store(obs.is_some(), Ordering::Release);
-        *self.inner.observer.write() = obs;
-    }
-
-    /// Executes `tf` to completion, blocking the caller.
-    ///
-    /// Re-raises the first panic that occurred in any task (remaining
-    /// tasks are skipped but the graph is drained deterministically).
-    ///
-    /// # Panics
-    /// Panics if the graph contains a dependency cycle, or to re-raise a
-    /// task panic. Use [`Executor::try_run`] for a non-panicking report.
-    pub fn run<'env>(&self, tf: &Taskflow<'env>) {
-        if let Some((_, payload)) = self.run_inner(tf) {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// Executes `tf` to completion, blocking the caller, and reports the
-    /// first task panic as a structured [`TaskPanic`] instead of
-    /// unwinding. The graph is drained either way: downstream tasks of a
-    /// panicking task are cancelled (their closures skipped), every node
-    /// is consumed, and the executor remains usable.
-    ///
-    /// # Panics
-    /// Panics if the graph contains a static dependency cycle (a
-    /// caller-side construction bug, detected before execution starts).
-    pub fn try_run<'env>(&self, tf: &Taskflow<'env>) -> Result<(), TaskPanic> {
-        match self.run_inner(tf) {
-            None => Ok(()),
-            Some((task, payload)) => Err(TaskPanic {
-                task,
-                message: panic_message(payload.as_ref()),
-            }),
-        }
-    }
-
     /// Executes the dirty subset of a [`RetainedGraph`], blocking the
     /// caller, and clears the dirty flags.
     ///
@@ -379,13 +292,13 @@ impl Executor {
     /// The run state is flat: each dirty node's join count and chunk
     /// countdown live in the retained node itself, and completing jobs
     /// read successors straight from the retained edge lists. Staging a
-    /// run is two passes over the dirty nodes and their out-edges; it
+    /// run is a few passes over the dirty nodes and their edges; it
     /// builds no per-node objects, so a run allocates nothing however
     /// many nodes it executes.
     ///
-    /// Panics in `invoke` are contained exactly like [`Executor::try_run`]
-    /// task panics: the run is drained, downstream dirty nodes are
-    /// cancelled, and the first panic is reported as a [`TaskPanic`].
+    /// Panics in `invoke` are contained: the run is drained, downstream
+    /// dirty nodes are cancelled, the first panic is reported as a
+    /// [`TaskPanic`], and both the graph and the executor stay usable.
     ///
     /// # Panics
     /// Panics if the dirty subset contains a dependency cycle (a
@@ -419,7 +332,7 @@ impl Executor {
         // Pass 2: join counts — every edge between two dirty nodes gates
         // its target. Clean neighbours are skipped entirely. Relaxed is
         // enough: workers first see these counts through the injector's
-        // lock when the roots are published.
+        // lock once the roots are published.
         let nodes = &graph.nodes;
         for &d in &graph.dirty {
             for s in &nodes[d.key()].succs {
@@ -432,7 +345,13 @@ impl Executor {
         #[cfg(debug_assertions)]
         assert_acyclic(nodes, &graph.dirty);
 
-        // Publish the roots and wait for the drain.
+        // Publish the roots and wait for the drain. A root is a dirty node
+        // without a dirty predecessor; the dirty flags do not change until
+        // the drain, so this set is fixed for the whole run. The join
+        // counts are not: once the first root is published, a worker
+        // (awake on another caller's run) may complete it and drop a later
+        // node's count to zero, and that node is then released by the
+        // worker — testing `join == 0` here would publish it a second time.
         graph.run.arm(jobs);
         let run = RetainedRun {
             nodes,
@@ -442,7 +361,7 @@ impl Executor {
         let mut any_root = false;
         for &d in &graph.dirty {
             let node = &nodes[d.key()];
-            if node.join.load(Ordering::Relaxed) == 0 {
+            if !node.preds.iter().any(|p| nodes[p.key()].dirty) {
                 any_root = true;
                 for job in run.jobs_of(d, node.chunks) {
                     self.inner.injector.push(job);
@@ -470,88 +389,6 @@ impl Executor {
                 message: panic_message(payload.as_ref()),
             }),
         }
-    }
-
-    /// Shared body of [`run`](Executor::run)/[`try_run`](Executor::try_run):
-    /// executes the graph and returns the first task panic, if any.
-    fn run_inner<'env>(
-        &self,
-        tf: &Taskflow<'env>,
-    ) -> Option<(Arc<str>, Box<dyn Any + Send + 'static>)> {
-        if tf.is_empty() {
-            return None;
-        }
-        let n = tf.nodes.len();
-        // Build run nodes.
-        let mut nodes: Vec<Box<RunNode>> = Vec::with_capacity(n);
-        for node in &tf.nodes {
-            let work = match &node.work {
-                Work::Empty => RunWork::Empty,
-                Work::Static(f) => {
-                    let ptr: *const (dyn Fn() + Send + Sync) = &**f;
-                    // SAFETY: erases 'env; run() blocks until all tasks
-                    // finished, so the borrow outlives every dereference.
-                    RunWork::Static(unsafe {
-                        std::mem::transmute::<
-                            *const (dyn Fn() + Send + Sync),
-                            *const (dyn Fn() + Send + Sync),
-                        >(ptr)
-                    })
-                }
-                Work::Subflow(f) => {
-                    let ptr: *const (dyn Fn(&mut Subflow<'env>) + Send + Sync) = &**f;
-                    // SAFETY: same lifetime-erasure argument; Subflow<'x>
-                    // is layout-invariant in its lifetime parameter.
-                    RunWork::Dynamic(unsafe {
-                        std::mem::transmute::<
-                            *const (dyn Fn(&mut Subflow<'env>) + Send + Sync),
-                            *const (dyn Fn(&mut Subflow<'static>) + Send + Sync),
-                        >(ptr)
-                    })
-                }
-            };
-            nodes.push(Box::new(RunNode {
-                name: Arc::clone(&node.name),
-                work,
-                succs: Vec::with_capacity(node.succs.len()),
-                join: AtomicUsize::new(node.num_preds),
-                children: AtomicUsize::new(0),
-                parent: std::ptr::null(),
-                ctx: std::ptr::null(),
-            }));
-        }
-        let ptrs: Vec<*const RunNode> = nodes.iter().map(|b| &**b as *const RunNode).collect();
-        for (i, node) in tf.nodes.iter().enumerate() {
-            for &s in &node.succs {
-                nodes[i].succs.push(ptrs[s]);
-            }
-        }
-        let ctx = Box::new(RunCtx {
-            _static_nodes: nodes,
-            dynamic_nodes: Mutex::new(Vec::new()),
-            state: RunState::default(),
-        });
-        ctx.state.arm(n);
-        let ctx_ptr: *const RunCtx = &*ctx;
-        for b in &ctx._static_nodes {
-            // SAFETY: exclusive setup phase; nothing is shared yet.
-            unsafe {
-                let node = &**b as *const RunNode as *mut RunNode;
-                (*node).ctx = ctx_ptr;
-            }
-        }
-        // Enqueue roots.
-        let mut any_root = false;
-        for (i, node) in tf.nodes.iter().enumerate() {
-            if node.num_preds == 0 {
-                any_root = true;
-                self.inner.injector.push(Job::Node(ptrs[i]));
-            }
-        }
-        assert!(any_root, "task graph has no root: dependency cycle");
-        debug_assert!(tf.is_acyclic(), "task graph has a dependency cycle");
-        wake_workers(&self.inner);
-        ctx.state.wait()
     }
 }
 
@@ -653,15 +490,15 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>, idx: usize) {
             return;
         }
         if let Some(job) = find_work(&inner, &local, idx) {
-            // SAFETY: job pointers stay valid until their run completes
+            // SAFETY: a job's run stays alive until the job completed
             // (module safety model).
-            unsafe { execute(job, &inner, &local, idx) };
+            unsafe { execute(job, &inner, &local) };
             continue;
         }
         // Slow path: re-scan once against the publication epoch, then park.
         let observed = inner.sleep.epoch.load(Ordering::SeqCst);
         if let Some(job) = find_work(&inner, &local, idx) {
-            unsafe { execute(job, &inner, &local, idx) };
+            unsafe { execute(job, &inner, &local) };
             continue;
         }
         let mut guard = inner.sleep.lock.lock();
@@ -676,113 +513,23 @@ fn worker_loop(inner: Arc<Inner>, local: WorkerDeque<Job>, idx: usize) {
     }
 }
 
-/// Publishes a job from worker context (local LIFO for cache locality).
-fn enqueue_local(inner: &Inner, local: &WorkerDeque<Job>, job: Job) {
-    local.push(job);
-    wake_workers(inner);
-}
-
-/// Runs one job.
-///
-/// # Safety
-/// The job's pointers must be live: the job was published by a run that
-/// has not yet drained (module safety model).
-unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>, widx: usize) {
-    inner.tasks_run.fetch_add(1, Ordering::Relaxed);
-    qtask_obs::counter!("taskflow.tasks_run").inc();
-    let observer = if inner.has_observer.load(Ordering::Acquire) {
-        inner.observer.read().clone()
-    } else {
-        None
-    };
-    let ptr = match job {
-        Job::Node(ptr) => ptr,
-        Job::Retained { run, node, chunk } => {
-            // SAFETY: `run_dirty` holds its `RetainedRun` (and the graph
-            // it borrows) until every job of the run completed.
-            let run = unsafe { &*run };
-            execute_retained(run, node, chunk, &observer, inner, local, widx);
-            return;
-        }
-    };
-    // SAFETY: the run's context keeps its nodes alive until every job
-    // completed (module safety model).
-    let node = unsafe { &*ptr };
-    let ctx = unsafe { &*node.ctx };
-    let task_span = qtask_obs::span!(Arc::clone(&node.name));
-    task_begin(&observer, &node.name, widx);
-    let cancelled = ctx.state.cancelled.load(Ordering::Relaxed);
-    let mut deferred = false;
-    match &node.work {
-        RunWork::Empty => {}
-        RunWork::Static(f) => {
-            if !cancelled {
-                let f = unsafe { &**f };
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    task_probe();
-                    f()
-                })) {
-                    ctx.state.record_panic(&node.name, p);
-                }
-            }
-        }
-        RunWork::Dynamic(f) => {
-            if !cancelled {
-                let f = unsafe { &**f };
-                let mut sf = Subflow::new();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    task_probe();
-                    f(&mut sf)
-                })) {
-                    Ok(()) => {
-                        if !sf.is_empty() {
-                            deferred = unsafe { spawn_children(ctx, node, sf, inner, local) };
-                        }
-                    }
-                    Err(p) => ctx.state.record_panic(&node.name, p),
-                }
-            }
-        }
-        RunWork::Child(cell) => {
-            // SAFETY: each child job is popped by exactly one worker, so
-            // this cell is accessed exclusively.
-            let work = unsafe { (*cell.get()).take() };
-            if let Some(work) = work {
-                if !cancelled {
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                        task_probe();
-                        work()
-                    })) {
-                        ctx.state.record_panic(&node.name, p);
-                    }
-                }
-            }
-        }
-    }
-    drop(task_span);
-    task_end(&observer, &node.name, widx);
-    if !deferred {
-        unsafe { finish(node, ctx, inner, local) };
-    }
-}
-
 /// Runs one chunk of a retained node. The node completes with its last
 /// chunk, which releases every dirty successor whose join count it
 /// drops to zero.
-fn execute_retained(
-    run: &RetainedRun<'_>,
-    id: NodeId,
-    chunk: u32,
-    observer: &Option<Arc<dyn Observer>>,
-    inner: &Inner,
-    local: &WorkerDeque<Job>,
-    widx: usize,
-) {
-    let node = &run.nodes[id.key()];
+///
+/// # Safety
+/// The job's run must be live: the job was published by a `run_dirty`
+/// call that has not yet drained (module safety model).
+unsafe fn execute(job: Job, inner: &Inner, local: &WorkerDeque<Job>) {
+    inner.tasks_run.fetch_add(1, Ordering::Relaxed);
+    qtask_obs::counter!("taskflow.tasks_run").inc();
+    // SAFETY: `run_dirty` holds its `RetainedRun` (and the graph it
+    // borrows) until every job of the run completed.
+    let run = unsafe { &*job.run };
+    let node = &run.nodes[job.node.key()];
     let task_span = qtask_obs::span!(Arc::clone(&node.name));
-    task_begin(observer, &node.name, widx);
     if node.chunks > 0 && !run.state.cancelled.load(Ordering::Relaxed) {
-        let payload = node.payload;
+        let (payload, chunk) = (node.payload, job.chunk);
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
             task_probe();
             (run.invoke)(payload, chunk)
@@ -791,7 +538,6 @@ fn execute_retained(
         }
     }
     drop(task_span);
-    task_end(observer, &node.name, widx);
     // AcqRel on both countdowns: each decrement releases this job's
     // writes, and the decrement that reaches zero acquires those of every
     // earlier chunk and predecessor before the node (or successor) runs.
@@ -813,134 +559,35 @@ fn execute_retained(
     run.state.job_done();
 }
 
-fn task_begin(observer: &Option<Arc<dyn Observer>>, name: &Arc<str>, worker: usize) {
-    if let Some(o) = observer {
-        notify(
-            o,
-            ExecEvent::Begin {
-                name: Arc::clone(name),
-                worker,
-            },
-        );
-    }
-}
-
-fn task_end(observer: &Option<Arc<dyn Observer>>, name: &Arc<str>, worker: usize) {
-    if let Some(o) = observer {
-        notify(
-            o,
-            ExecEvent::End {
-                name: Arc::clone(name),
-                worker,
-            },
-        );
-    }
-}
-
-/// Invokes an observer callback with panic containment: a throwing
-/// observer must never kill a worker thread (that would strand the run's
-/// pending counter and hang `run()` forever), so its panics are swallowed.
-fn notify(o: &Arc<dyn Observer>, ev: ExecEvent) {
-    let _ = catch_unwind(AssertUnwindSafe(|| o.on_event(&ev)));
-}
-
-/// Materializes subflow children and schedules their roots, returning
-/// true. The parent's completion is then deferred to the last child
-/// (`finish` on the parent). Returns false without spawning anything if
-/// the subflow is cyclic — recorded as a panic of the parent task, so the
-/// caller finishes the parent normally. (A cyclic subflow used to
-/// `assert!` right here on the worker thread, outside any `catch_unwind`:
-/// the worker died, `pending` never drained, and `run()` hung forever.)
-unsafe fn spawn_children(
-    ctx: &RunCtx,
-    parent: &RunNode,
-    mut sf: Subflow<'static>,
-    inner: &Inner,
-    local: &WorkerDeque<Job>,
-) -> bool {
-    let n = sf.tasks.len();
-    let succ_lists: Vec<Vec<usize>> = sf.tasks.iter().map(|t| t.succs.clone()).collect();
-    let roots: Vec<usize> = sf
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.num_preds == 0)
-        .map(|(i, _)| i)
-        .collect();
-    if roots.is_empty() {
-        ctx.state.record_panic(
-            &parent.name,
-            Box::new(format!(
-                "subflow '{}' has no root: dependency cycle",
-                parent.name
-            )),
-        );
-        return false;
-    }
-    ctx.state.pending.fetch_add(n, Ordering::SeqCst);
-    parent.children.store(n, Ordering::Release);
-    let mut boxes: Vec<Box<RunNode>> = Vec::with_capacity(n);
-    for (i, t) in sf.tasks.iter_mut().enumerate() {
-        boxes.push(Box::new(RunNode {
-            name: Arc::clone(&t.name),
-            work: RunWork::Child(UnsafeCell::new(t.work.take())),
-            succs: Vec::with_capacity(succ_lists[i].len()),
-            join: AtomicUsize::new(t.num_preds),
-            children: AtomicUsize::new(0),
-            parent: parent as *const RunNode,
-            ctx: ctx as *const RunCtx,
-        }));
-    }
-    let ptrs: Vec<*const RunNode> = boxes.iter().map(|b| &**b as *const RunNode).collect();
-    for (i, succs) in succ_lists.iter().enumerate() {
-        for &s in succs {
-            boxes[i].succs.push(ptrs[s]);
-        }
-    }
-    // Keep children alive for the rest of the run *before* publishing jobs.
-    ctx.dynamic_nodes.lock().extend(boxes);
-    for r in roots {
-        enqueue_local(inner, local, Job::Node(ptrs[r]));
-    }
-    true
-}
-
-/// Completes a node: fires successors, joins its parent subflow, and
-/// performs the final pending decrement (the last context access).
-unsafe fn finish(node: &RunNode, ctx: &RunCtx, inner: &Inner, local: &WorkerDeque<Job>) {
-    for &s in &node.succs {
-        let succ = unsafe { &*s };
-        if succ.join.fetch_sub(1, Ordering::AcqRel) == 1 {
-            enqueue_local(inner, local, Job::Node(s));
-        }
-    }
-    if !node.parent.is_null() {
-        let parent = unsafe { &*node.parent };
-        if parent.children.fetch_sub(1, Ordering::AcqRel) == 1 {
-            unsafe { finish(parent, ctx, inner, local) };
-        }
-    }
-    ctx.state.job_done();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Taskflow;
     use std::sync::atomic::{AtomicUsize, Ordering as O};
     use std::sync::Mutex as StdMutex;
+
+    fn name(s: &str) -> Arc<str> {
+        Arc::from(s)
+    }
+
+    /// Marks every live node of `g` dirty.
+    fn mark_all(g: &mut RetainedGraph, ids: &[NodeId]) {
+        for &id in ids {
+            g.mark_dirty(id);
+        }
+    }
 
     #[test]
     fn runs_all_tasks_once() {
         let ex = Executor::new(4);
         let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
+        let mut g = RetainedGraph::new();
         for i in 0..100 {
-            tf.emplace(format!("t{i}"), || {
-                count.fetch_add(1, O::SeqCst);
-            });
+            g.insert(i, 1, name("t"));
         }
-        ex.run(&tf);
+        ex.run_dirty(&mut g, &|_, _| {
+            count.fetch_add(1, O::SeqCst);
+        })
+        .unwrap();
         assert_eq!(count.load(O::SeqCst), 100);
     }
 
@@ -948,31 +595,32 @@ mod tests {
     fn tasks_run_counts_across_graphs() {
         let ex = Executor::new(2);
         assert_eq!(ex.tasks_run(), 0);
-        let mut tf = Taskflow::new("t");
-        for i in 0..10 {
-            tf.emplace(format!("t{i}"), || {});
-        }
-        ex.run(&tf);
+        let mut g = RetainedGraph::new();
+        let ids: Vec<NodeId> = (0..10).map(|i| g.insert(i, 1, name("t"))).collect();
+        ex.run_dirty(&mut g, &|_, _| {}).unwrap();
         assert_eq!(ex.tasks_run(), 10);
-        ex.run(&tf);
+        mark_all(&mut g, &ids);
+        ex.run_dirty(&mut g, &|_, _| {}).unwrap();
         assert_eq!(ex.tasks_run(), 20);
+        // A second graph counts into the same lifetime total.
+        let mut h = RetainedGraph::new();
+        h.insert(0, 4, name("fan"));
+        ex.run_dirty(&mut h, &|_, _| {}).unwrap();
+        assert_eq!(ex.tasks_run(), 24);
     }
 
     #[test]
     fn respects_dependencies() {
         let ex = Executor::new(8);
         let log = StdMutex::new(Vec::new());
-        let mut tf = Taskflow::new("t");
-        let a = tf.emplace("a", || log.lock().unwrap().push('a'));
-        let b = tf.emplace("b", || log.lock().unwrap().push('b'));
-        let c = tf.emplace("c", || log.lock().unwrap().push('c'));
-        let d = tf.emplace("d", || log.lock().unwrap().push('d'));
-        tf.precede(a, b);
-        tf.precede(a, c);
-        tf.precede(b, d);
-        tf.precede(c, d);
-        ex.run(&tf);
-        drop(tf);
+        let mut g = RetainedGraph::new();
+        let [a, b, c, d] = [b'a', b'b', b'c', b'd'].map(|p| g.insert(p as u64, 1, name("t")));
+        g.add_edge(a, b);
+        g.add_edge(a, c);
+        g.add_edge(b, d);
+        g.add_edge(c, d);
+        ex.run_dirty(&mut g, &|p, _| log.lock().unwrap().push(p as u8 as char))
+            .unwrap();
         let log = log.into_inner().unwrap();
         assert_eq!(log.len(), 4);
         assert_eq!(log[0], 'a');
@@ -986,132 +634,86 @@ mod tests {
         let ex = Executor::new(8);
         let stages = 200;
         let cells: Vec<AtomicUsize> = (0..stages).map(|_| AtomicUsize::new(0)).collect();
-        let mut tf = Taskflow::new("chain");
-        let mut prev: Option<crate::graph::TaskRef> = None;
-        for (i, cell) in cells.iter().enumerate() {
-            let cells_ref = &cells;
-            let left = tf.emplace(format!("l{i}"), move || {
-                if i > 0 {
-                    assert_eq!(cells_ref[i - 1].load(O::SeqCst), 2);
-                }
-                cell.fetch_add(1, O::SeqCst);
-            });
-            let right = tf.emplace(format!("r{i}"), move || {
-                if i > 0 {
-                    assert_eq!(cells_ref[i - 1].load(O::SeqCst), 2);
-                }
-                cell.fetch_add(1, O::SeqCst);
-            });
-            let join = tf.emplace_empty(format!("j{i}"));
+        let mut g = RetainedGraph::new();
+        let mut prev: Option<NodeId> = None;
+        for i in 0..stages as u64 {
+            let left = g.insert(i, 1, name("l"));
+            let right = g.insert(i, 1, name("r"));
+            let join = g.insert(i, 0, name("j"));
             if let Some(p) = prev {
-                tf.precede(p, left);
-                tf.precede(p, right);
+                g.add_edge(p, left);
+                g.add_edge(p, right);
             }
-            tf.precede(left, join);
-            tf.precede(right, join);
+            g.add_edge(left, join);
+            g.add_edge(right, join);
             prev = Some(join);
         }
-        ex.run(&tf);
+        ex.run_dirty(&mut g, &|stage, _| {
+            let i = stage as usize;
+            if i > 0 {
+                assert_eq!(cells[i - 1].load(O::SeqCst), 2);
+            }
+            cells[i].fetch_add(1, O::SeqCst);
+        })
+        .unwrap();
         assert!(cells.iter().all(|c| c.load(O::SeqCst) == 2));
     }
 
     #[test]
     fn subflow_children_run_and_join() {
+        // The retained joined subflow: a 16-chunk fan whose successor
+        // waits for every chunk.
         let ex = Executor::new(4);
-        let count = Arc::new(AtomicUsize::new(0));
-        let after = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let c1 = Arc::clone(&count);
-        let sub = tf.emplace_subflow("fan", move |sf| {
-            for _ in 0..16 {
-                let c = Arc::clone(&c1);
-                sf.task("child", move || {
-                    c.fetch_add(1, O::SeqCst);
-                });
+        let count = AtomicUsize::new(0);
+        let after = AtomicUsize::new(0);
+        let mut g = RetainedGraph::new();
+        let fan = g.insert(0, 16, name("fan"));
+        let post = g.insert(1, 1, name("post"));
+        g.add_edge(fan, post);
+        ex.run_dirty(&mut g, &|p, _| {
+            if p == 0 {
+                count.fetch_add(1, O::SeqCst);
+            } else {
+                assert_eq!(count.load(O::SeqCst), 16);
+                after.fetch_add(1, O::SeqCst);
             }
-        });
-        let c2 = Arc::clone(&count);
-        let a2 = Arc::clone(&after);
-        let post = tf.emplace("post", move || {
-            // Joined subflow: all 16 children must be done.
-            assert_eq!(c2.load(O::SeqCst), 16);
-            a2.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(sub, post);
-        ex.run(&tf);
+        })
+        .unwrap();
         assert_eq!(count.load(O::SeqCst), 16);
         assert_eq!(after.load(O::SeqCst), 1);
     }
 
     #[test]
-    fn subflow_internal_edges() {
-        let ex = Executor::new(4);
-        let log = Arc::new(StdMutex::new(Vec::new()));
-        let mut tf = Taskflow::new("t");
-        let l = Arc::clone(&log);
-        tf.emplace_subflow("sub", move |sf| {
-            let l1 = Arc::clone(&l);
-            let l2 = Arc::clone(&l);
-            let l3 = Arc::clone(&l);
-            let a = sf.task("a", move || l1.lock().unwrap().push(1));
-            let b = sf.task("b", move || l2.lock().unwrap().push(2));
-            let c = sf.task("c", move || l3.lock().unwrap().push(3));
-            sf.precede(a, b);
-            sf.precede(b, c);
-        });
-        ex.run(&tf);
-        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn nested_subflows() {
-        let ex = Executor::new(4);
-        let count = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let c0 = Arc::clone(&count);
-        tf.emplace_subflow("outer", move |sf| {
-            for _ in 0..4 {
-                let c = Arc::clone(&c0);
-                sf.task("leaf", move || {
-                    c.fetch_add(1, O::SeqCst);
-                });
-            }
-        });
-        let c1 = Arc::clone(&count);
-        let check = tf.emplace("check", move || {
-            assert_eq!(c1.load(O::SeqCst), 4);
-        });
-        // The subflow node is index 0.
-        tf.precede(crate::graph::TaskRef(0), check);
-        ex.run(&tf);
-    }
-
-    #[test]
     fn empty_subflow_completes() {
+        // A zero-chunk node invokes nothing but still releases its
+        // successors.
         let ex = Executor::new(2);
         let done = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        let s = tf.emplace_subflow("empty", |_| {});
-        let p = tf.emplace("post", || {
+        let mut g = RetainedGraph::new();
+        let s = g.insert(0, 0, name("empty"));
+        let p = g.insert(1, 1, name("post"));
+        g.add_edge(s, p);
+        ex.run_dirty(&mut g, &|payload, _| {
+            assert_eq!(payload, 1);
             done.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(s, p);
-        ex.run(&tf);
+        })
+        .unwrap();
         assert_eq!(done.load(O::SeqCst), 1);
     }
 
     #[test]
     fn borrows_environment() {
-        // Closures borrow a local vector mutably disjointly via atomics.
+        // `invoke` borrows a local vector; each node writes its own cell.
         let ex = Executor::new(4);
         let data: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        let mut tf = Taskflow::new("t");
-        for (i, cell) in data.iter().enumerate() {
-            tf.emplace(format!("w{i}"), move || {
-                cell.store(i + 1, O::SeqCst);
-            });
+        let mut g = RetainedGraph::new();
+        for i in 0..64 {
+            g.insert(i, 1, name("w"));
         }
-        ex.run(&tf);
+        ex.run_dirty(&mut g, &|i, _| {
+            data[i as usize].store(i as usize + 1, O::SeqCst)
+        })
+        .unwrap();
         for (i, cell) in data.iter().enumerate() {
             assert_eq!(cell.load(O::SeqCst), i + 1);
         }
@@ -1121,16 +723,16 @@ mod tests {
     fn rerunnable_graph() {
         let ex = Executor::new(4);
         let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        let a = tf.emplace("a", || {
-            count.fetch_add(1, O::SeqCst);
-        });
-        let b = tf.emplace("b", || {
-            count.fetch_add(10, O::SeqCst);
-        });
-        tf.precede(a, b);
+        let mut g = RetainedGraph::new();
+        let a = g.insert(1, 1, name("a"));
+        let b = g.insert(10, 1, name("b"));
+        g.add_edge(a, b);
         for _ in 0..5 {
-            ex.run(&tf);
+            mark_all(&mut g, &[a, b]);
+            ex.run_dirty(&mut g, &|p, _| {
+                count.fetch_add(p as usize, O::SeqCst);
+            })
+            .unwrap();
         }
         assert_eq!(count.load(O::SeqCst), 55);
     }
@@ -1138,231 +740,200 @@ mod tests {
     #[test]
     fn empty_graph_is_noop() {
         let ex = Executor::new(2);
-        let tf = Taskflow::new("empty");
-        ex.run(&tf); // must not hang
+        let mut g = RetainedGraph::new();
+        // Must not hang.
+        let stats = ex.run_dirty(&mut g, &|_, _| panic!("no nodes")).unwrap();
+        assert_eq!(stats, DirtyRunStats::default());
+    }
+
+    /// Maps fan chunk `chunk` to its slice of `0..total`, `size` items a
+    /// chunk — the parallel-for pattern the baselines use.
+    fn chunk_range(chunk: u32, size: usize, total: usize) -> std::ops::Range<usize> {
+        let start = (chunk as usize * size).min(total);
+        start..(start + size).min(total)
     }
 
     #[test]
     fn single_thread_executor_works() {
         let ex = Executor::new(1);
+        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        let s = tf.emplace_subflow("fan", |sf| {
-            sf.parallel_for(0..100, 7, |_| {});
-        });
-        let c = tf.emplace("count", || {
-            count.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(s, c);
-        ex.run(&tf);
+        let mut g = RetainedGraph::new();
+        let fan = g.insert(0, 100u32.div_ceil(7), name("fan"));
+        let c = g.insert(1, 1, name("count"));
+        g.add_edge(fan, c);
+        ex.run_dirty(&mut g, &|p, chunk| {
+            if p == 0 {
+                for i in chunk_range(chunk, 7, 100) {
+                    hits[i].fetch_add(1, O::SeqCst);
+                }
+            } else {
+                count.fetch_add(1, O::SeqCst);
+            }
+        })
+        .unwrap();
         assert_eq!(count.load(O::SeqCst), 1);
+        assert!(hits.iter().all(|h| h.load(O::SeqCst) == 1));
+    }
+
+    #[test]
+    fn parallel_for_covers_range() {
+        // More chunks than the range needs: the trailing ones are empty.
+        let ex = Executor::new(4);
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let mut g = RetainedGraph::new();
+        g.insert(0, 20, name("fan"));
+        ex.run_dirty(&mut g, &|_, chunk| {
+            for i in chunk_range(chunk, 64, 1000) {
+                hits[i].fetch_add(1, O::SeqCst);
+            }
+        })
+        .unwrap();
+        assert!(hits.iter().all(|h| h.load(O::SeqCst) == 1));
     }
 
     #[test]
     fn panic_propagates_and_executor_survives() {
         let ex = Executor::new(4);
-        let mut tf = Taskflow::new("t");
-        tf.emplace("boom", || panic!("task exploded"));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| ex.run(&tf)));
-        assert!(result.is_err());
-        // Executor still usable afterwards.
+        let mut g = RetainedGraph::new();
+        g.insert(0, 1, name("boom"));
+        let err = ex
+            .run_dirty(&mut g, &|_, _| panic!("task exploded"))
+            .unwrap_err();
+        assert_eq!(&*err.task, "boom");
+        assert!(err.message.contains("task exploded"), "{err}");
+        assert!(err.to_string().contains("boom"));
+        // Executor still usable afterwards, on a fresh graph.
         let ok = AtomicUsize::new(0);
-        let mut tf2 = Taskflow::new("t2");
-        tf2.emplace("fine", || {
+        let mut g2 = RetainedGraph::new();
+        g2.insert(0, 1, name("fine"));
+        ex.run_dirty(&mut g2, &|_, _| {
             ok.fetch_add(1, O::SeqCst);
-        });
-        ex.run(&tf2);
+        })
+        .unwrap();
         assert_eq!(ok.load(O::SeqCst), 1);
+    }
+
+    #[test]
+    fn try_run_reports_structured_panic() {
+        let ex = Executor::new(4);
+        let mut g = RetainedGraph::new();
+        let a = g.insert(0, 1, name("ok"));
+        let b = g.insert(1, 1, name("kaboom"));
+        g.add_edge(a, b);
+        let err = ex
+            .run_dirty(&mut g, &|p, _| {
+                if p == 1 {
+                    panic!("division by zero qubits");
+                }
+            })
+            .unwrap_err();
+        assert_eq!(&*err.task, "kaboom");
+        assert!(err.message.contains("division by zero qubits"), "{err}");
+        assert!(err.to_string().contains("kaboom"));
+        // A clean graph afterwards reports Ok.
+        let mut g2 = RetainedGraph::new();
+        g2.insert(0, 1, name("fine"));
+        assert!(ex.run_dirty(&mut g2, &|_, _| {}).is_ok());
     }
 
     #[test]
     fn panic_cancels_downstream() {
         let ex = Executor::new(2);
-        let ran_after = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let a = tf.emplace("boom", || panic!("x"));
-        let r = Arc::clone(&ran_after);
-        let b = tf.emplace("after", move || {
-            r.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(a, b);
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| ex.run(&tf)));
+        let ran_after = AtomicUsize::new(0);
+        let mut g = RetainedGraph::new();
+        let a = g.insert(0, 1, name("boom"));
+        let b = g.insert(1, 1, name("after"));
+        let c = g.insert(2, 8, name("after-fan"));
+        g.add_edge(a, b);
+        g.add_edge(b, c);
+        let invoke = |p: u64, _: u32| {
+            if p == 0 {
+                panic!("x");
+            }
+            ran_after.fetch_add(1, O::SeqCst);
+        };
+        let err = ex.run_dirty(&mut g, &invoke).unwrap_err();
+        assert_eq!(&*err.task, "boom");
         assert_eq!(ran_after.load(O::SeqCst), 0);
+        // The run drained: the graph is clean and runs again.
+        assert_eq!(g.dirty_len(), 0);
+        mark_all(&mut g, &[b, c]);
+        ex.run_dirty(&mut g, &invoke).unwrap();
+        assert_eq!(ran_after.load(O::SeqCst), 9);
     }
 
     #[test]
-    fn observer_sees_events() {
-        let ex = Executor::new(2);
-        let begins = Arc::new(AtomicUsize::new(0));
-        let ends = Arc::new(AtomicUsize::new(0));
-        let (b, e) = (Arc::clone(&begins), Arc::clone(&ends));
-        ex.set_observer(Some(Arc::new(move |ev: &ExecEvent| match ev {
-            ExecEvent::Begin { .. } => {
-                b.fetch_add(1, O::SeqCst);
-            }
-            ExecEvent::End { .. } => {
-                e.fetch_add(1, O::SeqCst);
-            }
-        })));
-        let mut tf = Taskflow::new("t");
-        for i in 0..10 {
-            tf.emplace(format!("t{i}"), || {});
-        }
-        ex.run(&tf);
-        ex.set_observer(None);
-        assert_eq!(begins.load(O::SeqCst), 10);
-        assert_eq!(ends.load(O::SeqCst), 10);
+    fn child_task_panic_is_attributed() {
+        // A chunk's panic is reported under its fan node's name.
+        let ex = Executor::new(4);
+        let mut g = RetainedGraph::new();
+        g.insert(0, 1, name("good"));
+        g.insert(1, 4, name("bad-fan"));
+        let err = ex
+            .run_dirty(&mut g, &|p, chunk| {
+                if p == 1 && chunk == 2 {
+                    panic!("child died");
+                }
+            })
+            .unwrap_err();
+        assert_eq!(&*err.task, "bad-fan");
+        assert!(err.message.contains("child died"));
     }
 
     #[test]
     fn many_tasks_stress() {
         let ex = Executor::new(8);
         let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("stress");
+        let mut g = RetainedGraph::new();
         let layers = 50;
         let width = 40;
-        let mut prev_layer: Vec<crate::graph::TaskRef> = Vec::new();
-        for l in 0..layers {
+        let mut prev_layer: Vec<NodeId> = Vec::new();
+        for _ in 0..layers {
             let mut layer = Vec::new();
             for w in 0..width {
-                let t = tf.emplace(format!("t{l}_{w}"), || {
-                    count.fetch_add(1, O::SeqCst);
-                });
+                let t = g.insert(0, 1, name("t"));
                 // Sparse cross-layer edges.
                 if let Some(&p) = prev_layer.get(w % prev_layer.len().max(1)) {
-                    tf.precede(p, t);
+                    g.add_edge(p, t);
                 }
                 layer.push(t);
             }
             prev_layer = layer;
         }
-        ex.run(&tf);
+        ex.run_dirty(&mut g, &|_, _| {
+            count.fetch_add(1, O::SeqCst);
+        })
+        .unwrap();
         assert_eq!(count.load(O::SeqCst), layers * width);
     }
 
     #[test]
     fn concurrent_runs_from_two_threads() {
-        let ex = Arc::new(Executor::new(4));
-        let total = Arc::new(AtomicUsize::new(0));
+        let ex = Executor::new(4);
+        let total = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..2 {
-                let ex = Arc::clone(&ex);
-                let total = Arc::clone(&total);
-                s.spawn(move || {
-                    let mut tf = Taskflow::new("t");
+                s.spawn(|| {
+                    let mut g = RetainedGraph::new();
+                    let mut prev = None;
                     for i in 0..50 {
-                        let total = Arc::clone(&total);
-                        tf.emplace(format!("t{i}"), move || {
-                            total.fetch_add(1, O::SeqCst);
-                        });
+                        let id = g.insert(i, 1 + (i % 3) as u32, name("t"));
+                        if let Some(p) = prev.filter(|_| i % 5 != 0) {
+                            g.add_edge(p, id);
+                        }
+                        prev = Some(id);
                     }
-                    ex.run(&tf);
+                    let stats = ex
+                        .run_dirty(&mut g, &|_, _| {
+                            total.fetch_add(1, O::SeqCst);
+                        })
+                        .unwrap();
+                    assert_eq!(stats.nodes_run, 50);
                 });
             }
         });
-        assert_eq!(total.load(O::SeqCst), 100);
-    }
-
-    #[test]
-    fn try_run_reports_structured_panic() {
-        let ex = Executor::new(4);
-        let mut tf = Taskflow::new("t");
-        let a = tf.emplace("ok", || {});
-        let b = tf.emplace("kaboom", || panic!("division by zero qubits"));
-        tf.precede(a, b);
-        let err = ex.try_run(&tf).unwrap_err();
-        assert_eq!(&*err.task, "kaboom");
-        assert!(err.message.contains("division by zero qubits"), "{err}");
-        assert!(err.to_string().contains("kaboom"));
-        // A clean graph afterwards reports Ok.
-        let mut tf2 = Taskflow::new("t2");
-        tf2.emplace("fine", || {});
-        assert!(ex.try_run(&tf2).is_ok());
-    }
-
-    #[test]
-    fn cyclic_subflow_does_not_deadlock() {
-        // A subflow whose children form a cycle has no root to schedule.
-        // This used to assert on the worker thread outside catch_unwind,
-        // killing the worker and hanging run() forever. It must now drain
-        // and surface as a task panic.
-        let ex = Executor::new(2);
-        let downstream = Arc::new(AtomicUsize::new(0));
-        let mut tf = Taskflow::new("t");
-        let s = tf.emplace_subflow("cyclic", |sf| {
-            let a = sf.task("a", || {});
-            let b = sf.task("b", || {});
-            sf.precede(a, b);
-            sf.precede(b, a);
-        });
-        let d = Arc::clone(&downstream);
-        let post = tf.emplace("post", move || {
-            d.fetch_add(1, O::SeqCst);
-        });
-        tf.precede(s, post);
-        let err = ex.try_run(&tf).unwrap_err();
-        assert_eq!(&*err.task, "cyclic");
-        assert!(err.message.contains("dependency cycle"), "{err}");
-        // The failure cancelled the downstream task but drained the graph.
-        assert_eq!(downstream.load(O::SeqCst), 0);
-        // Workers all survived.
-        let ok = AtomicUsize::new(0);
-        let mut tf2 = Taskflow::new("t2");
-        for i in 0..8 {
-            tf2.emplace(format!("t{i}"), || {
-                ok.fetch_add(1, O::SeqCst);
-            });
-        }
-        ex.run(&tf2);
-        assert_eq!(ok.load(O::SeqCst), 8);
-    }
-
-    #[test]
-    fn panicking_observer_is_contained() {
-        let ex = Executor::new(2);
-        ex.set_observer(Some(Arc::new(|ev: &ExecEvent| {
-            if let ExecEvent::Begin { .. } = ev {
-                panic!("observer bug");
-            }
-        })));
-        let count = AtomicUsize::new(0);
-        let mut tf = Taskflow::new("t");
-        for i in 0..10 {
-            tf.emplace(format!("t{i}"), || {
-                count.fetch_add(1, O::SeqCst);
-            });
-        }
-        // Must neither hang nor propagate the observer's panic.
-        assert!(ex.try_run(&tf).is_ok());
-        ex.set_observer(None);
-        assert_eq!(count.load(O::SeqCst), 10);
-    }
-
-    #[test]
-    fn child_task_panic_is_attributed() {
-        let ex = Executor::new(4);
-        let mut tf = Taskflow::new("t");
-        tf.emplace_subflow("fan", |sf| {
-            sf.task("good", || {});
-            sf.task("bad-child", || panic!("child died"));
-        });
-        let err = ex.try_run(&tf).unwrap_err();
-        assert_eq!(&*err.task, "bad-child");
-        assert!(err.message.contains("child died"));
-    }
-
-    #[test]
-    fn parallel_for_covers_range() {
-        let ex = Executor::new(4);
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        let hits_ref = &hits;
-        let mut tf = Taskflow::new("pf");
-        tf.emplace_subflow("fan", move |sf| {
-            sf.parallel_for(0..1000, 64, move |i| {
-                hits_ref[i].fetch_add(1, O::SeqCst);
-            });
-        });
-        ex.run(&tf);
-        assert!(hits.iter().all(|h| h.load(O::SeqCst) == 1));
+        // Each graph invokes 1 + (i % 3) chunks for i in 0..50: 99.
+        assert_eq!(total.load(O::SeqCst), 2 * 99);
     }
 }

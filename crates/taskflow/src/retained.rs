@@ -1,13 +1,11 @@
 //! A retained task graph: built once, patched per edit, re-run many times.
 //!
-//! [`Taskflow`](crate::Taskflow) graphs are throwaway — every run re-boxes
-//! every closure and re-wires every edge, so a caller that executes the
-//! same (slowly evolving) DAG over and over pays graph-sized build cost
-//! per run. A [`RetainedGraph`] keeps the *structure* alive across runs:
-//! nodes have stable generational ids, edges are patched incrementally,
-//! and each node carries a dirty flag.
-//! [`Executor::run_dirty`](crate::Executor::run_dirty) then executes exactly the dirty subset,
-//! touching nothing proportional to the full graph.
+//! A [`RetainedGraph`] keeps the *structure* of a slowly evolving DAG
+//! alive across runs: nodes have stable generational ids, edges are
+//! patched incrementally, and each node carries a dirty flag.
+//! [`Executor::run_dirty`](crate::Executor::run_dirty) then executes
+//! exactly the dirty subset, touching nothing proportional to the full
+//! graph.
 //!
 //! Closures are the reason retained graphs are usually awkward in Rust: a
 //! stored `Box<dyn Fn() + 'env>` would freeze the caller's borrows for
@@ -15,16 +13,15 @@
 //! at all — only an opaque `u64` payload (e.g. an arena key packed with
 //! [`qtask_util::Key::to_bits`]) and a chunk count. The *caller* supplies
 //! one `invoke(payload, chunk)` closure per run; it borrows freely
-//! because `run_dirty` blocks until the run completes, the same scoping
-//! argument `Executor::run` already makes for `Taskflow` closures.
+//! because `run_dirty` blocks until the run completes (the scoping
+//! argument of `std::thread::scope`).
 //!
 //! A node's `chunks` field encodes its execution shape:
 //!
 //! * `0` — a pure synchronization barrier; completes without invoking.
 //! * `1` — one `invoke(payload, 0)` call.
-//! * `n > 1` — `n` parallel `invoke(payload, chunk)` calls fanned out
-//!   under an implicit entry/exit barrier pair (the retained analogue of
-//!   a joined subflow: successors wait for every chunk).
+//! * `n > 1` — `n` parallel `invoke(payload, chunk)` calls (the retained
+//!   form of a joined subflow: successors wait for every chunk).
 //!
 //! The graph counts structural patches ([`RetainedGraph::take_patches`])
 //! and distinguishes nodes created since the last run from re-executed
@@ -408,6 +405,41 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "self edge")]
+    fn self_edge_panics() {
+        let mut g = RetainedGraph::new();
+        let a = g.insert(1, 1, name("a"));
+        g.add_edge(a, a);
+    }
+
+    #[test]
+    fn dirty_cycle_is_rejected_before_running() {
+        let ex = Executor::new(2);
+        let mut g = RetainedGraph::new();
+        let a = g.insert(1, 1, name("a"));
+        let b = g.insert(2, 1, name("b"));
+        g.add_edge(a, b);
+        g.add_edge(b, a);
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ex.run_dirty(&mut g, &|_, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let message = crate::executor::panic_message(caught.unwrap_err().as_ref());
+        assert!(message.contains("dependency cycle"), "{message}");
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        // Nothing was published, so the executor runs the next graph.
+        let mut h = RetainedGraph::new();
+        h.insert(3, 1, name("c"));
+        ex.run_dirty(&mut h, &|_, _| {
+            ran.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

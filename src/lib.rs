@@ -109,7 +109,7 @@ pub mod prelude {
         EditOutcome, RecvError, ServiceConfig, ServiceError, SessionHandle, SessionId,
         SessionManager, SessionReport, SessionState, Subscription, ViewUpdate,
     };
-    pub use qtask_taskflow::{Executor, TaskPanic, Taskflow};
+    pub use qtask_taskflow::{Executor, TaskPanic};
     pub use qtask_views::{
         ExpectationView, MapView, NormView, ProbabilityView, SumView, View, ViewQuery, ViewReading,
         ViewRegistry, ViewReport, ViewValue,
