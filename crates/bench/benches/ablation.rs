@@ -1,19 +1,13 @@
-//! Ablations of qTask's §III-F design choices:
-//!
-//! * **Row-order policy** — the paper orders a net's non-superposition
-//!   rows by increasing partition block count ("defer heavy partitions");
-//!   compared against plain insertion order.
-//! * **MxV group cap** — how many superposition gates share one
-//!   matrix–vector row (group 1 = gate-at-a-time; larger groups halve
-//!   full-vector passes but square the per-amplitude source terms).
-//! * **COW resolve policy** — per-block owner index (binary search,
-//!   depth-independent) vs the legacy backward row walk (O(live rows)).
-//! * **Kernel policy** — batched run kernels + fused MxV rows vs the
-//!   scalar one-amplitude-at-a-time loops (see `kernel_throughput` for
-//!   the isolated kernel-layer numbers).
+//! Ablation of qTask's MxV group cap (§III-F): how many superposition
+//! gates share one matrix–vector row (group 1 = gate-at-a-time; larger
+//! groups halve full-vector passes but square the per-amplitude source
+//! terms). The cap is the one engine knob with no single right value;
+//! the engine's other design choices (owner-index resolution, batched
+//! kernels, snapshot publication, row order) have one path each. See
+//! `kernel_throughput` for the isolated kernel-layer numbers.
 
 use qtask_bench::*;
-use qtask_core::{KernelPolicy, ResolvePolicy, RowOrderPolicy, SimConfig, SnapshotPolicy};
+use qtask_core::SimConfig;
 use qtask_taskflow::Executor;
 use std::sync::Arc;
 
@@ -37,26 +31,7 @@ fn main() {
     let ex = Arc::new(Executor::new(opts.threads));
     println!("Ablation bench ({} threads)\n", opts.threads);
 
-    println!("Row-order policy (paper §III-F2: defer high-block-count partitions):");
-    println!(
-        "{:<12} {:<22} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "sat"] {
-        for policy in [RowOrderPolicy::SortedByBlockCount, RowOrderPolicy::Append] {
-            let config = SimConfig {
-                row_order: policy,
-                ..SimConfig::default()
-            };
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<22} {full:>12.2} {inc:>12.2}",
-                format!("{policy:?}")
-            );
-        }
-    }
-
-    println!("\nMxV group cap (superposition gates per matrix-vector row):");
+    println!("MxV group cap (superposition gates per matrix-vector row):");
     println!(
         "{:<12} {:>6} {:>12} {:>12}",
         "circuit", "cap", "full (ms)", "inc (ms)"
@@ -69,54 +44,6 @@ fn main() {
             };
             let (full, inc) = measure(&opts, &ex, name, &config);
             println!("{name:<12} {cap:>6} {full:>12.2} {inc:>12.2}");
-        }
-    }
-
-    println!("\nKernel policy (batched run kernels + fused MxV vs scalar loops):");
-    println!(
-        "{:<12} {:<12} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "ising"] {
-        for kernels in [KernelPolicy::Batched, KernelPolicy::Scalar] {
-            let config = SimConfig::default().with_kernels(kernels);
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<12} {full:>12.2} {inc:>12.2}",
-                format!("{kernels:?}")
-            );
-        }
-    }
-
-    println!("\nCOW resolve policy (owner index vs legacy chain walk):");
-    println!(
-        "{:<12} {:<12} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "vqe_uccsd"] {
-        for resolve in [ResolvePolicy::OwnerIndex, ResolvePolicy::ChainWalk] {
-            let config = SimConfig::default().with_resolve(resolve);
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<12} {full:>12.2} {inc:>12.2}",
-                format!("{resolve:?}")
-            );
-        }
-    }
-
-    println!("\nSnapshot policy (MVCC publication at every update vs none):");
-    println!(
-        "{:<12} {:<12} {:>12} {:>12}",
-        "circuit", "policy", "full (ms)", "inc (ms)"
-    );
-    for name in ["qft", "big_adder", "vqe_uccsd"] {
-        for snapshots in [SnapshotPolicy::Publish, SnapshotPolicy::Disabled] {
-            let config = SimConfig::default().with_snapshots(snapshots);
-            let (full, inc) = measure(&opts, &ex, name, &config);
-            println!(
-                "{name:<12} {:<12} {full:>12.2} {inc:>12.2}",
-                format!("{snapshots:?}")
-            );
         }
     }
 }

@@ -4,10 +4,11 @@
 //! 1. **Flat kernels** at 22 qubits — the per-gate-class inner loops
 //!    (`apply_*_ranks` vs `apply_*_runs`), isolating pure arithmetic
 //!    throughput from engine bookkeeping.
-//! 2. **Engine MxV updates** at 20 qubits — repeated warm incremental
-//!    updates of a superposition group under `KernelPolicy::Scalar`
-//!    (on-the-fly row expansion) vs `Batched` (fused `FusedOp` rows,
-//!    zero per-amplitude allocation).
+//! 2. **Engine updates** at 20 qubits — repeated warm incremental
+//!    updates of a superposition group (fused `FusedOp` rows) and of
+//!    linear rows (run kernels). The engine has one kernel path, so
+//!    these rows report the batched time only; the scalar-vs-batched
+//!    comparison lives in the flat section.
 //!
 //! The acceptance bar for this layer: ≥2x batched-over-scalar on Diag and
 //! Swap at ≥20 qubits. Record results in EXPERIMENTS.md.
@@ -18,7 +19,8 @@
 //! counters move when the engine does.
 
 use qtask_bench::{harness_init, median_of, write_bench_json, Opts};
-use qtask_core::{Ckt, KernelPolicy, SimConfig};
+use qtask_circuit::NetId;
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::{kernels, LinearOp};
@@ -53,26 +55,37 @@ fn report(label: &str, scalar_ms: f64, batched_ms: f64) {
     );
 }
 
-/// JSON row for a scalar-vs-batched pair, with optional registry-sourced
-/// engine counters (`updates`, `tasks_executed`) for engine sections.
-fn row_json(
-    section: &str,
-    op: &str,
-    scalar_ms: f64,
-    batched_ms: f64,
-    engine: Option<(u64, u64)>,
-) -> String {
-    let extra = match engine {
-        Some((updates, tasks)) => {
-            format!(", \"updates\": {updates}, \"tasks_executed\": {tasks}")
-        }
-        None => String::new(),
-    };
+/// JSON row for a flat scalar-vs-batched pair.
+fn row_json(section: &str, op: &str, scalar_ms: f64, batched_ms: f64) -> String {
     format!(
         "{{\"section\": \"{section}\", \"op\": \"{op}\", \"scalar_ms\": {scalar_ms:.4}, \
-         \"batched_ms\": {batched_ms:.4}, \"speedup\": {:.3}{extra}}}",
+         \"batched_ms\": {batched_ms:.4}, \"speedup\": {:.3}}}",
         scalar_ms / batched_ms
     )
+}
+
+/// Prints and records one engine row: the batched update time plus the
+/// registry-sourced engine counters (`updates`, `tasks_executed`).
+fn engine_row(rows: &mut Vec<String>, section: &str, op: &str, measured: (f64, u64, u64)) {
+    let (batched_ms, updates, tasks) = measured;
+    println!("{op:<28} {batched_ms:>12.3}");
+    rows.push(format!(
+        "{{\"section\": \"{section}\", \"op\": \"{op}\", \"batched_ms\": {batched_ms:.4}, \
+         \"updates\": {updates}, \"tasks_executed\": {tasks}}}"
+    ));
+}
+
+/// Milliseconds per warm toggle — insert `kind` on `qubits` into `net`,
+/// update, remove it, update — median over `reps`.
+fn toggle_ms(ckt: &mut Ckt, net: NetId, kind: GateKind, qubits: &[u8], reps: usize) -> f64 {
+    median_of(reps, || {
+        let t0 = Instant::now();
+        let gid = ckt.insert_gate(kind, net, qubits).unwrap();
+        ckt.update_state().unwrap();
+        ckt.remove_gate(gid).unwrap();
+        ckt.update_state().unwrap();
+        t0.elapsed().as_secs_f64() * 1e3
+    })
 }
 
 /// Registry deltas (`core.updates`, `core.tasks_executed`) across `f`.
@@ -130,7 +143,7 @@ fn flat_kernels(opts: &Opts, rows: &mut Vec<String>) {
             kernels::apply_linear_runs(&op, N, black_box(&mut state), 0..total)
         });
         report(label, scalar, batched);
-        rows.push(row_json("flat", label, scalar, batched, None));
+        rows.push(row_json("flat", label, scalar, batched));
     }
 
     let h = GateKind::H.base_matrix().unwrap();
@@ -142,96 +155,49 @@ fn flat_kernels(opts: &Opts, rows: &mut Vec<String>) {
         kernels::apply_dense_runs(0, 9, &h, N, black_box(&mut state), 0..total)
     });
     report("dense H(q9)", scalar, batched);
-    rows.push(row_json("flat", "dense H(q9)", scalar, batched, None));
+    rows.push(row_json("flat", "dense H(q9)", scalar, batched));
 }
 
-/// Warm incremental MxV update cost under each kernel policy: toggle a
-/// second dense factor into a trailing group and re-update, so every MxV
-/// partition re-executes against warm buffers.
+/// Warm incremental MxV update cost: toggle a second dense factor into a
+/// trailing group and re-update, so every MxV partition re-executes
+/// against warm buffers.
 fn engine_mxv(opts: &Opts, rows: &mut Vec<String>) {
     let n = 20u8;
     println!("\nEngine MxV incremental update, {n} qubits, group cap 2:");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "policy pair", "scalar (ms)", "batched (ms)", "speedup"
-    );
+    println!("{:<28} {:>12}", "toggle", "batched (ms)");
     let reps = opts.reps.max(3);
-    let measure_policy = |kernels: KernelPolicy| {
-        let mut cfg = SimConfig::default().with_kernels(kernels);
-        cfg.num_threads = opts.threads;
-        let mut ckt = Ckt::with_config(n, cfg);
+    let measured = with_engine_counters(|| {
+        let mut ckt = Ckt::with_config(n, SimConfig::with_threads(opts.threads));
         let net = ckt.push_net();
         ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
         ckt.update_state().unwrap();
-        // Warm the buffers and the fused cache.
-        let gid = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-        ckt.update_state().unwrap();
-        ckt.remove_gate(gid).unwrap();
-        ckt.update_state().unwrap();
-        median_of(reps, || {
-            let t0 = Instant::now();
-            let gid = ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
-            ckt.update_state().unwrap();
-            ckt.remove_gate(gid).unwrap();
-            ckt.update_state().unwrap();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-    };
-    let scalar = measure_policy(KernelPolicy::Scalar);
-    let (batched, updates, tasks) = with_engine_counters(|| measure_policy(KernelPolicy::Batched));
-    report("mxv toggle H(q1)", scalar, batched);
-    rows.push(row_json(
-        "engine_mxv",
-        "mxv toggle H(q1)",
-        scalar,
-        batched,
-        Some((updates, tasks)),
-    ));
+        // One discarded toggle warms the buffers and the fused cache.
+        toggle_ms(&mut ckt, net, GateKind::H, &[1], 1);
+        toggle_ms(&mut ckt, net, GateKind::H, &[1], reps)
+    });
+    engine_row(rows, "engine_mxv", "mxv toggle H(q1)", measured);
 }
 
-/// Warm incremental linear-row update cost under each kernel policy.
+/// Warm incremental linear-row update cost.
 fn engine_linear(opts: &Opts, rows: &mut Vec<String>) {
     let n = 20u8;
     println!("\nEngine linear incremental update, {n} qubits:");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "gate toggled", "scalar (ms)", "batched (ms)", "speedup"
-    );
+    println!("{:<28} {:>12}", "gate toggled", "batched (ms)");
     let reps = opts.reps.max(3);
     for (label, kind, qubits) in [
         ("Z(q10)", GateKind::Z, vec![10u8]),
         ("Swap(q6,q14)", GateKind::Swap, vec![6, 14]),
         ("X(q12)", GateKind::X, vec![12u8]),
     ] {
-        let measure_policy = |kernels: KernelPolicy| {
-            let mut cfg = SimConfig::default().with_kernels(kernels);
-            cfg.num_threads = opts.threads;
-            let mut ckt = Ckt::with_config(n, cfg);
+        let measured = with_engine_counters(|| {
+            let mut ckt = Ckt::with_config(n, SimConfig::with_threads(opts.threads));
             let net = ckt.push_net();
             ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
             let tail = ckt.push_net();
             ckt.update_state().unwrap();
-            let qubits = qubits.clone();
-            median_of(reps, || {
-                let t0 = Instant::now();
-                let gid = ckt.insert_gate(kind, tail, &qubits).unwrap();
-                ckt.update_state().unwrap();
-                ckt.remove_gate(gid).unwrap();
-                ckt.update_state().unwrap();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-        };
-        let scalar = measure_policy(KernelPolicy::Scalar);
-        let (batched, updates, tasks) =
-            with_engine_counters(|| measure_policy(KernelPolicy::Batched));
-        report(label, scalar, batched);
-        rows.push(row_json(
-            "engine_linear",
-            label,
-            scalar,
-            batched,
-            Some((updates, tasks)),
-        ));
+            toggle_ms(&mut ckt, tail, kind, &qubits, reps)
+        });
+        engine_row(rows, "engine_linear", label, measured);
     }
 }
 
@@ -256,23 +222,12 @@ fn probe_overhead(opts: &Opts, rows: &mut Vec<String>) {
     );
     let reps = opts.reps.max(5);
     let measure = || {
-        let cfg = SimConfig {
-            num_threads: opts.threads,
-            ..SimConfig::default()
-        };
-        let mut ckt = Ckt::with_config(n, cfg);
+        let mut ckt = Ckt::with_config(n, SimConfig::with_threads(opts.threads));
         let net = ckt.push_net();
         ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
         let tail = ckt.push_net();
         ckt.update_state().unwrap();
-        median_of(reps, || {
-            let t0 = Instant::now();
-            let gid = ckt.insert_gate(GateKind::X, tail, &[12]).unwrap();
-            ckt.update_state().unwrap();
-            ckt.remove_gate(gid).unwrap();
-            ckt.update_state().unwrap();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
+        toggle_ms(&mut ckt, tail, GateKind::X, &[12], reps)
     };
     // Leg A: tracing off (no-op in a default build; explicit with obs).
     #[cfg(feature = "obs")]

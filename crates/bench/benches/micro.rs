@@ -3,7 +3,7 @@
 //! the COW resolve chain.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qtask_core::{Ckt, ResolvePolicy, SimConfig};
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::{derive_partitions, kernels, BlockGeometry, LinearOp};
@@ -144,12 +144,11 @@ fn bench_query(c: &mut Criterion) {
 /// from the chain's tail must look past the whole chain — the
 /// depth-proportional resolution pattern the owner index collapses to a
 /// binary search.
-fn phase_chain(depth: usize, resolve: ResolvePolicy) -> Ckt {
+fn phase_chain(depth: usize) -> Ckt {
     // 8 qubits over 4-amplitude blocks = 64 blocks: a fine partitioning,
     // so resolution (not amplitude arithmetic) dominates each update.
     let mut cfg = SimConfig::with_block_size(4);
     cfg.num_threads = 2;
-    cfg.resolve = resolve;
     let mut ckt = Ckt::with_config(8, cfg);
     for _ in 0..depth {
         let net = ckt.push_net();
@@ -181,33 +180,18 @@ fn toggle_once(ckt: &mut Ckt, net: qtask_circuit::NetId) -> u64 {
     report.owner_probes
 }
 
-/// The tentpole measurement: per-update block-resolution cost at the tail
-/// of a depth-512 chain, owner index vs legacy chain walk. The chain's T
-/// rows own only the top-half blocks, so every bottom-half read walks the
-/// full chain under `ChainWalk`; the owner index answers each in
-/// O(log owners). The depth sweep shows the index cost staying flat while
-/// the walk grows linearly.
+/// Per-update block-resolution cost at the tail of a deep chain. The
+/// chain's T rows own only the top-half blocks, so every bottom-half
+/// read looks past the whole chain; the owner index answers each in
+/// O(log owners), so the depth sweep stays flat.
 fn bench_deep_chain_resolution(c: &mut Criterion) {
     let mut g = c.benchmark_group("deep_chain_resolution");
     g.sample_size(20);
-    for (label, resolve) in [
-        ("owner_index_d512", ResolvePolicy::OwnerIndex),
-        ("chain_walk_d512", ResolvePolicy::ChainWalk),
-    ] {
-        let (mut ckt, net) = with_trailing_mxv(phase_chain(512, resolve));
-        g.bench_function(label, |b| b.iter(|| black_box(toggle_once(&mut ckt, net))));
-    }
-    for depth in [64usize, 256, 1024] {
-        for resolve in [ResolvePolicy::OwnerIndex, ResolvePolicy::ChainWalk] {
-            let (mut ckt, net) = with_trailing_mxv(phase_chain(depth, resolve));
-            let tag = match resolve {
-                ResolvePolicy::OwnerIndex => "owner_index",
-                ResolvePolicy::ChainWalk => "chain_walk",
-            };
-            g.bench_function(format!("{tag}_d{depth}"), |b| {
-                b.iter(|| black_box(toggle_once(&mut ckt, net)))
-            });
-        }
+    for depth in [64usize, 256, 512, 1024] {
+        let (mut ckt, net) = with_trailing_mxv(phase_chain(depth));
+        g.bench_function(format!("owner_index_d{depth}"), |b| {
+            b.iter(|| black_box(toggle_once(&mut ckt, net)))
+        });
     }
     g.finish();
 }

@@ -1,6 +1,6 @@
 //! The [`Ckt`] engine: modifiers, frontier bookkeeping, incremental update.
 
-use crate::config::{KernelPolicy, NumericalPolicy, RowOrderPolicy, SimConfig, SnapshotPolicy};
+use crate::config::{NumericalPolicy, SimConfig};
 use crate::cow::{BlockData, RowVector};
 use crate::delta::{BlockDelta, SnapshotObserver};
 use crate::error::{payload_text, EngineError, InvariantViolation};
@@ -74,15 +74,14 @@ pub struct UpdateReport {
     pub run_elapsed: Duration,
     /// COW block resolutions performed by the executed tasks.
     pub blocks_resolved: u64,
-    /// Owner probes those resolutions cost: rows visited (chain walk) or
-    /// binary-search steps (owner index). `owner_probes /
-    /// blocks_resolved` is the per-lookup cost the owner index flattens.
+    /// Owner probes those resolutions cost: binary-search steps in the
+    /// owner index. `owner_probes / blocks_resolved` is the per-lookup
+    /// cost, flat in circuit depth.
     pub owner_probes: u64,
-    /// Blocks re-resolved to publish the [`StateSnapshot`] (0 under
-    /// [`SnapshotPolicy::Disabled`], or when nothing changed). Capture is
-    /// incremental, so this tracks the update's write set, not the state
-    /// size; its resolution work is *not* included in the two counters
-    /// above.
+    /// Blocks re-resolved to publish the [`StateSnapshot`] (0 when
+    /// nothing changed). Capture is incremental, so this tracks the
+    /// update's write set, not the state size; its resolution work is
+    /// *not* included in the two counters above.
     pub snapshot_blocks_resolved: u64,
     /// `|norm² − 1|` measured at this update's publication (0 when
     /// nothing was published).
@@ -213,14 +212,12 @@ pub struct Ckt {
     scratch: UpdateScratch,
     /// Reusable coverage-scan output for partition linking.
     pub(crate) link_scratch: Vec<PartId>,
-    /// Last published snapshot (None before the first capture, always
-    /// None under [`SnapshotPolicy::Disabled`]).
-    latest: Option<StateSnapshot>,
+    /// Last published snapshot (None before the first capture).
+    pub(crate) latest: Option<StateSnapshot>,
     /// Blocks whose final resolution changed since `latest` was captured:
     /// the spans of executed non-sync partitions plus the blocks removed
-    /// rows owned. Maintained only under [`SnapshotPolicy::Publish`], and
-    /// only once a snapshot exists — the first publication resolves every
-    /// block anyway.
+    /// rows owned. Only meaningful once a snapshot exists — the first
+    /// publication resolves every block anyway.
     pub(crate) snap_dirty: BitSet,
     /// Snapshot publication counter ([`StateSnapshot::version`]).
     snapshot_seq: u64,
@@ -233,8 +230,9 @@ pub struct Ckt {
     /// (which replaces the whole engine).
     poison: Option<String>,
     /// Per-block squared norms of the last published state — refreshed
-    /// only for the blocks a publication re-resolves, so norm
-    /// conservation is checked incrementally.
+    /// only for the blocks a publication re-resolves. The one place a
+    /// block's norm is computed: their sum drives the drift check and
+    /// is the published snapshot's [`StateSnapshot::norm_sqr`].
     block_norms: Vec<f64>,
     /// Scale every query applies: 1.0 unless
     /// [`NumericalPolicy::Renormalize`] absorbed drift at the last
@@ -778,18 +776,16 @@ impl Ckt {
         let label = format!("G{seq}");
         let mut row = self.new_row(net, RowKind::Linear(op), Some(gid), label);
         row.max_part_blocks = max_blocks;
-        // Position within the net per the row-order policy: linear rows go
-        // after the net's sync/MxV rows; Sorted keeps them by ascending
-        // max partition block count.
+        // Position within the net (paper §III-F2): linear rows go after
+        // the net's sync/MxV rows, kept in ascending order of max
+        // partition block count, so partitions with large block spans
+        // (which fan out widely) run as late as possible.
         let sim = self.net_sim.get(&net).expect("net is live");
-        let insert_idx = match self.config.row_order {
-            RowOrderPolicy::SortedByBlockCount => sim
-                .linear
-                .iter()
-                .position(|r| self.rows[r.key()].max_part_blocks > max_blocks)
-                .unwrap_or(sim.linear.len()),
-            RowOrderPolicy::Append => sim.linear.len(),
-        };
+        let insert_idx = sim
+            .linear
+            .iter()
+            .position(|r| self.rows[r.key()].max_part_blocks > max_blocks)
+            .unwrap_or(sim.linear.len());
         let row_id = if insert_idx < sim.linear.len() {
             let before = sim.linear[insert_idx];
             RowId(self.rows.insert_before(before.key(), row))
@@ -966,12 +962,12 @@ impl Ckt {
     /// §III-E). With a freshly built circuit every partition is frontier,
     /// so the first call is a full simulation.
     ///
-    /// Unless [`SnapshotPolicy::Disabled`], the update also publishes a
-    /// fresh [`StateSnapshot`] ([`Ckt::latest_snapshot`]) of the resolved
-    /// state, so readers on other threads keep querying the previous
-    /// version while this one replaces it. Publication is where the
-    /// [`NumericalPolicy`] engages: non-finite amplitudes and
-    /// out-of-tolerance norm drift surface here.
+    /// The update also publishes a fresh [`StateSnapshot`]
+    /// ([`Ckt::latest_snapshot`]) of the resolved state, so readers on
+    /// other threads keep querying the previous version while this one
+    /// replaces it. Publication is where the [`NumericalPolicy`]
+    /// engages: non-finite amplitudes and out-of-tolerance norm drift
+    /// surface here.
     ///
     /// A panicking task (or a panic in the serial build phase) is
     /// contained: the engine poisons itself and the call returns
@@ -984,13 +980,12 @@ impl Ckt {
     fn update_state_inner(&mut self) -> Result<UpdateReport, EngineError> {
         let _update_span = qtask_obs::span!("update");
         let t0 = Instant::now();
-        let publish = self.config.snapshots == SnapshotPolicy::Publish;
         if self.frontier.is_empty() {
             // Nothing to execute, but removals may still have changed the
             // resolved view (a removal needs no simulation): refresh the
             // snapshot if so, or publish the very first one.
             let mut report = UpdateReport::default();
-            if publish && (self.latest.is_none() || !self.snap_dirty.is_empty()) {
+            if self.latest.is_none() || !self.snap_dirty.is_empty() {
                 qtask_faults::fault_point!("engine/update_publish");
                 let (spine, resolve_all) = self.detach_spine();
                 report.snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
@@ -1029,43 +1024,16 @@ impl Ckt {
         }
         visited.clear();
         qtask_faults::fault_point!("engine/update_build");
-        // Detach the previous snapshot spine *before* execution: blocks
-        // this update will rewrite (spans of dirty non-sync partitions,
-        // plus blocks of removed rows) are dropped from the engine's own
-        // copy, so when no external reader shares the snapshot, the
-        // re-executing tasks can reclaim their buffers and the warm
-        // update stays allocation-free. A reader-held snapshot keeps its
-        // pins and the rewritten blocks fork instead — MVCC isolation.
-        // With no snapshot yet, the capture resolves every block, so
-        // there is nothing to mark.
-        let spine = if publish {
-            if self.latest.is_some() {
-                for &pid in &dirty {
-                    let part = &self.parts[pid.key()];
-                    if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
-                        continue; // barriers span everything but own nothing
-                    }
-                    for b in part.spec.block_lo..=part.spec.block_hi {
-                        self.snap_dirty.insert(b as usize);
-                    }
-                }
-            }
-            Some(self.detach_spine())
-        } else {
-            None
-        };
+        let (spine, resolve_all) = self.detach_for_rewrite(&dirty);
         drop(partition_span);
         // Refresh the fused MxV operators of dirty rows before the tasks
         // that read them are spawned (serial: the cache is engine state).
         let fuse_span = qtask_obs::span!("update/fuse");
-        if self.config.kernels == KernelPolicy::Batched {
-            for &pid in &dirty {
-                let rid = self.parts[pid.key()].row;
-                let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
-                if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty()
-                {
-                    row.fused = self.fused_cache.get_or_build(&row.dense);
-                }
+        for &pid in &dirty {
+            let rid = self.parts[pid.key()].row;
+            let row = self.rows.get_mut(rid.key()).expect("dirty row is live");
+            if matches!(row.kind, RowKind::MxV) && row.fused.is_none() && !row.dense.is_empty() {
+                row.fused = self.fused_cache.get_or_build(&row.dense);
             }
         }
         drop(fuse_span);
@@ -1091,8 +1059,6 @@ impl Ckt {
             stats: &self.resolve_stats,
             geom: self.geom,
             n_qubits: self.circuit.num_qubits(),
-            resolve: self.config.resolve,
-            kernels: self.config.kernels,
         };
         // Retained nodes store only packed `PartId`s; this per-run
         // closure decodes them and dispatches on the row kind. Chunked
@@ -1135,10 +1101,7 @@ impl Ckt {
         };
         self.frontier.clear();
         qtask_faults::fault_point!("engine/update_publish");
-        let snapshot_blocks_resolved = match spine {
-            Some((spine, resolve_all)) => self.publish_spine(spine, resolve_all)?,
-            None => 0,
-        };
+        let snapshot_blocks_resolved = self.publish_spine(spine, resolve_all)?;
         let report = UpdateReport {
             partitions_executed,
             tasks_executed: stats.tasks_run,
@@ -1177,11 +1140,9 @@ impl Ckt {
     /// A snapshot of the current resolved state — the same view the live
     /// queries answer from.
     ///
-    /// Under [`SnapshotPolicy::Publish`] this returns the latest
-    /// published snapshot, refreshing it first if removals changed the
-    /// resolved view since (or none was ever captured). Under
-    /// [`SnapshotPolicy::Disabled`] it performs a one-off full capture
-    /// that the engine does not retain (no block stays pinned).
+    /// This returns the latest published snapshot, refreshing it first
+    /// if removals changed the resolved view since (or none was ever
+    /// captured).
     ///
     /// Pending *insertions* that have not been simulated yet do not
     /// appear — like every query, a snapshot reflects the state as of the
@@ -1201,24 +1162,35 @@ impl Ckt {
     }
 
     fn snapshot_inner(&mut self) -> Result<StateSnapshot, EngineError> {
-        match self.config.snapshots {
-            SnapshotPolicy::Publish => {
-                if self.latest.is_none() || !self.snap_dirty.is_empty() {
-                    let (spine, resolve_all) = self.detach_spine();
-                    self.publish_spine(spine, resolve_all)?;
+        if self.latest.is_none() || !self.snap_dirty.is_empty() {
+            let (spine, resolve_all) = self.detach_spine();
+            self.publish_spine(spine, resolve_all)?;
+        }
+        Ok(self.latest.clone().expect("snapshot just published"))
+    }
+
+    /// Detaches the previous snapshot spine *before* `pids` execute:
+    /// blocks they will rewrite (spans of non-sync partitions, plus the
+    /// blocks of removed rows already in [`Ckt::snap_dirty`]) are dropped
+    /// from the engine's own copy, so when no external reader shares the
+    /// snapshot, the re-executing tasks can reclaim their buffers and the
+    /// warm update stays allocation-free. A reader-held snapshot keeps
+    /// its pins and the rewritten blocks fork instead — MVCC isolation.
+    /// With no snapshot yet, the capture resolves every block, so there
+    /// is nothing to mark. Returns [`Ckt::detach_spine`]'s result.
+    pub(crate) fn detach_for_rewrite(&mut self, pids: &[PartId]) -> (Spine, bool) {
+        if self.latest.is_some() {
+            for &pid in pids {
+                let part = &self.parts[pid.key()];
+                if matches!(self.rows[part.row.key()].kind, RowKind::Sync) {
+                    continue; // barriers span everything but own nothing
                 }
-                Ok(self.latest.clone().expect("snapshot just published"))
-            }
-            SnapshotPolicy::Disabled => {
-                let stats = ResolveStats::default();
-                let mut blocks = Spine::new(self.geom.num_blocks());
-                for b in 0..blocks.len() {
-                    let data = self.resolve_final_data(b, &stats);
-                    blocks.set(b, data);
+                for b in part.spec.block_lo..=part.spec.block_hi {
+                    self.snap_dirty.insert(b as usize);
                 }
-                Ok(self.assemble_snapshot(blocks, &stats))
             }
         }
+        self.detach_spine()
     }
 
     /// Takes the previous snapshot's block spine for reuse, dropping the
@@ -1252,8 +1224,11 @@ impl Ckt {
     /// dirty set. Returns the number of blocks resolved.
     ///
     /// Norm conservation is checked incrementally: only the re-resolved
-    /// blocks' entries of the per-block norm cache are recomputed, so the
-    /// check costs O(write set), like the capture itself.
+    /// blocks' entries of the per-block norm cache are recomputed, then
+    /// re-summed in ascending block order (O(blocks) adds, kept exact
+    /// rather than maintained by subtract/add). The unscaled total is
+    /// stored in the snapshot, so [`StateSnapshot::norm_sqr`] scans no
+    /// block.
     fn publish_spine(&mut self, mut blocks: Spine, resolve_all: bool) -> Result<u64, EngineError> {
         let _snapshot_span = qtask_obs::span!("update/snapshot");
         let stats = ResolveStats::default();
@@ -1317,8 +1292,21 @@ impl Ckt {
         } else {
             self.renorm_scale = 1.0;
         }
-        let resolved = stats.snapshot().0;
-        self.latest = Some(self.assemble_snapshot(blocks, &stats));
+        let (blocks_resolved, owner_probes) = stats.snapshot();
+        self.snapshot_seq += 1;
+        self.latest = Some(StateSnapshot {
+            inner: Arc::new(SnapInner::new(
+                self.snapshot_seq,
+                self.geom,
+                blocks,
+                QueryReport {
+                    blocks_resolved,
+                    owner_probes,
+                },
+                self.renorm_scale,
+                total,
+            )),
+        });
         if !self.observers.is_empty() {
             let snap = self.latest.clone().expect("snapshot just published");
             let delta = BlockDelta {
@@ -1333,7 +1321,7 @@ impl Ckt {
                 obs.on_publish(&snap, &delta);
             }
         }
-        Ok(resolved)
+        Ok(blocks_resolved)
     }
 
     /// Registers a publication observer (e.g. a view registry). The hook
@@ -1342,26 +1330,6 @@ impl Ckt {
     /// [`Ckt::recover`].
     pub fn attach_observer(&mut self, observer: Arc<dyn SnapshotObserver>) {
         self.observers.push(observer);
-    }
-
-    /// Wraps a resolved block spine into the next snapshot version,
-    /// recording the capture work `stats` accumulated. Shared by
-    /// published and one-off captures.
-    fn assemble_snapshot(&mut self, blocks: Spine, stats: &ResolveStats) -> StateSnapshot {
-        let (blocks_resolved, owner_probes) = stats.snapshot();
-        self.snapshot_seq += 1;
-        StateSnapshot {
-            inner: Arc::new(SnapInner::new(
-                self.snapshot_seq,
-                self.geom,
-                blocks,
-                QueryReport {
-                    blocks_resolved,
-                    owner_probes,
-                },
-                self.renorm_scale,
-            )),
-        }
     }
 
     /// Debug snapshot of the owner index for block `b` (row labels in

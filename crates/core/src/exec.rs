@@ -13,21 +13,22 @@
 //! sparse row ([`crate::fused::FusedOp`], precomputed once per group
 //! change) against sources read through the COW chain.
 //!
-//! Under [`KernelPolicy::Batched`] (the default) linear items are applied
-//! a whole *run* at a time: the item pattern decomposes into maximal
-//! contiguous low-index stretches ([`qtask_partition::ItemPattern::iter_runs`]),
-//! so Diag becomes strided slice scaling and AntiDiag/Swap become
-//! two-slice butterflies over the block buffers — the autovectorized
-//! primitives in [`qtask_num::slices`]. [`KernelPolicy::Scalar`] keeps the
-//! one-amplitude-at-a-time loops as the ablation baseline and differential
-//! oracle.
+//! Linear items are applied a whole *run* at a time: the item pattern
+//! decomposes into maximal contiguous low-index stretches
+//! ([`qtask_partition::ItemPattern::iter_runs`]), so Diag becomes strided
+//! slice scaling and AntiDiag/Swap become two-slice butterflies over the
+//! block buffers — the autovectorized primitives in [`qtask_num::slices`].
+//! The kernel is a fact of the input, not a setting: a pattern whose
+//! runs are single items (`run_len_log2() == 0`) takes the
+//! one-amplitude-at-a-time loop, and an MxV row whose group is too wide
+//! to fuse ([`FusedOp::MAX_SIG_BITS`]) expands its factor product per
+//! amplitude. The unit tests below pin both pairs bit-for-bit.
 //!
 //! Steady-state incremental updates are allocation-free: re-executing
 //! partitions reclaim their previously published buffers *with* their
 //! `Arc` wrapper ([`crate::cow::RowVector::take_reusable_arc`]), mutate in
 //! place, and republish the same allocation.
 
-use crate::config::{KernelPolicy, ResolvePolicy};
 use crate::cow::{self, BlockData, Resolved};
 use crate::fused::FusedOp;
 use crate::owners::{OwnerIndex, ResolveStats};
@@ -36,7 +37,6 @@ use qtask_num::{slices, Complex64};
 use qtask_partition::{kernels, BlockGeometry, LinearOp};
 use qtask_util::{Arena, LinkedArena};
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Shared read-only view of the engine internals used by executing tasks.
@@ -48,8 +48,7 @@ pub struct ExecView<'a> {
     pub rows: &'a LinkedArena<Row>,
     /// All partitions.
     pub parts: &'a Arena<Partition>,
-    /// Per-block owner lists (kept current even under `ChainWalk`, so the
-    /// policy can be flipped between updates).
+    /// Per-block owner lists.
     pub owners: &'a OwnerIndex,
     /// Resolution counters for the current update.
     pub stats: &'a ResolveStats,
@@ -57,10 +56,6 @@ pub struct ExecView<'a> {
     pub geom: BlockGeometry,
     /// Qubit count.
     pub n_qubits: u8,
-    /// Active resolution policy.
-    pub resolve: ResolvePolicy,
-    /// Active kernel policy.
-    pub kernels: KernelPolicy,
 }
 
 impl<'a> ExecView<'a> {
@@ -72,32 +67,17 @@ impl<'a> ExecView<'a> {
     }
 
     /// Resolves block `b` as seen *before* `row` (i.e. the previous row's
-    /// logical content).
+    /// logical content): a binary search of the block's owner list.
     pub fn resolve_before(&self, row: RowId, b: usize) -> Resolved {
-        match self.resolve {
-            ResolvePolicy::OwnerIndex => self
-                .owners
-                .resolve_before(
-                    b,
-                    self.label_of(row),
-                    |r| self.label_of(r),
-                    |r| self.rows[r.key()].vector.owned(b),
-                    self.stats,
-                )
-                .map_or(Resolved::Initial, Resolved::Data),
-            ResolvePolicy::ChainWalk => {
-                self.stats.blocks_resolved.fetch_add(1, Ordering::Relaxed);
-                let mut cur = self.rows.prev(row.key());
-                while let Some(k) = cur {
-                    self.stats.owner_probes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(data) = self.rows[k].vector.owned(b) {
-                        return Resolved::Data(data);
-                    }
-                    cur = self.rows.prev(k);
-                }
-                Resolved::Initial
-            }
-        }
+        self.owners
+            .resolve_before(
+                b,
+                self.label_of(row),
+                |r| self.label_of(r),
+                |r| self.rows[r.key()].vector.owned(b),
+                self.stats,
+            )
+            .map_or(Resolved::Initial, Resolved::Data)
     }
 
     /// Publishes `data` as block `b` of `row`, registering the row in the
@@ -218,7 +198,7 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
     let pattern = op.pattern(view.n_qubits);
     let mut blocks = BlockSet::from_scratch();
     // Run decomposition only pays when runs are real (length > 1).
-    if view.kernels == KernelPolicy::Batched && pattern.run_len_log2() > 0 {
+    if pattern.run_len_log2() > 0 {
         linear_batched(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
     } else {
         linear_scalar(&view, row_id, row, &op, &pattern, &mut blocks, ranks);
@@ -226,7 +206,8 @@ pub fn exec_linear_partition(view: ExecView<'_>, pid: PartId, ranks: std::ops::R
     blocks.publish(&view, row_id, row);
 }
 
-/// The scalar item loop: one amplitude (pair) per step.
+/// The scalar item loop: one amplitude (pair) per step — the kernel for
+/// patterns whose runs are single items.
 fn linear_scalar(
     view: &ExecView<'_>,
     row_id: RowId,
@@ -424,10 +405,8 @@ pub fn exec_mxv_partition(view: ExecView<'_>, pid: PartId) {
     });
     let out = Arc::get_mut(&mut out_arc).expect("output buffer is unique");
     match row.fused {
-        Some(ref fused) if view.kernels == KernelPolicy::Batched => {
-            mxv_fused(&view, row_id, fused, base, out);
-        }
-        _ => mxv_scalar(&view, row_id, row, base, out),
+        Some(ref fused) => mxv_fused(&view, row_id, fused, base, out),
+        None => mxv_scalar(&view, row_id, row, base, out),
     }
     view.publish(row_id, row, block, out_arc);
 }
@@ -482,8 +461,8 @@ fn mxv_fused(
 
 /// The scalar path: re-expand the factor product for every output
 /// amplitude ("recursive tensor products… stop at zero and identity
-/// patterns"). Ablation baseline and fallback for groups whose signature
-/// exceeds [`FusedOp::MAX_SIG_BITS`].
+/// patterns"). The kernel for groups whose signature exceeds
+/// [`FusedOp::MAX_SIG_BITS`], so no fused row table was built.
 fn mxv_scalar(view: &ExecView<'_>, row_id: RowId, row: &Row, base: usize, out: &mut [Complex64]) {
     let geom = &view.geom;
     // Resolved source-block cache (sources cluster into few blocks).
@@ -533,35 +512,143 @@ fn mxv_scalar(view: &ExecView<'_>, row_id: RowId, row: &Row, base: usize, out: &
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_circuits;
+
+#[cfg(test)]
 mod tests {
+    use super::test_circuits::{random_circuit, NetGates};
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::Ckt;
+    use crate::test_support;
     use qtask_gates::GateKind;
+    use rand::prelude::*;
 
-    /// The scalar MxV path (ablation baseline) stays available and agrees
-    /// with the fused path bit-for-bit.
+    fn build(n: u8, block_size: usize, mxv_cap: usize, nets: &NetGates) -> Ckt {
+        let mut cfg = SimConfig::with_block_size(block_size);
+        cfg.num_threads = 1;
+        cfg.mxv_group_max = mxv_cap;
+        let mut ckt = Ckt::with_config(n, cfg);
+        for gates in nets {
+            let net = ckt.push_net();
+            for (kind, qubits) in gates {
+                ckt.insert_gate(*kind, net, qubits).unwrap();
+            }
+        }
+        ckt.update_state().unwrap();
+        ckt
+    }
+
+    /// Runs both linear kernels over a whole partition into fresh blocks
+    /// (the caller pins every row buffer, so nothing is reclaimed) and
+    /// returns each kernel's blocks sorted, unpublished.
+    fn run_linear(ckt: &Ckt, pid: PartId) -> [Vec<(usize, BlockData)>; 2] {
+        let view = test_support::exec_view(ckt);
+        let part = &ckt.parts[pid.key()];
+        let row = &ckt.rows[part.row.key()];
+        let RowKind::Linear(op) = row.kind else {
+            unreachable!("linear partition");
+        };
+        let pattern = op.pattern(view.n_qubits);
+        let ranks = part.spec.item_start..part.spec.item_end;
+        let mut sets = [(); 2].map(|_| BlockSet {
+            entries: Vec::new(),
+        });
+        linear_batched(
+            &view,
+            part.row,
+            row,
+            &op,
+            &pattern,
+            &mut sets[0],
+            ranks.clone(),
+        );
+        linear_scalar(&view, part.row, row, &op, &pattern, &mut sets[1], ranks);
+        sets.map(|mut set| {
+            set.entries.sort_by_key(|(b, _)| *b);
+            set.entries
+        })
+    }
+
+    /// Runs both MxV kernels on one partition into fresh output buffers.
+    fn run_mxv(ckt: &Ckt, pid: PartId) -> Option<(Vec<Complex64>, Vec<Complex64>)> {
+        let view = test_support::exec_view(ckt);
+        let part = &ckt.parts[pid.key()];
+        let row = &ckt.rows[part.row.key()];
+        let fused = row.fused.as_ref()?;
+        let bs = view.geom.block_size();
+        let base = part.spec.block_lo as usize * bs;
+        let mut fused_out = vec![Complex64::ZERO; bs];
+        let mut scalar_out = vec![Complex64::ZERO; bs];
+        mxv_fused(&view, part.row, fused, base, &mut fused_out);
+        mxv_scalar(&view, part.row, row, base, &mut scalar_out);
+        Some((fused_out, scalar_out))
+    }
+
+    /// Asserts batched ≡ scalar bit-for-bit on every partition of `ckt`.
+    /// Returns how many (linear, MxV) partitions were compared.
+    fn assert_kernels_agree(ckt: &Ckt, what: &str) -> (usize, usize) {
+        // Pin every row buffer, so the kernels materialize fresh copies
+        // instead of reclaiming (and unpublishing) the rows' outputs.
+        let _pins: Vec<BlockData> = ckt
+            .rows
+            .keys()
+            .flat_map(|k| {
+                (0..ckt.geom.num_blocks()).filter_map(move |b| ckt.rows[k].vector.owned(b))
+            })
+            .collect();
+        let linear = test_support::linear_partitions(ckt);
+        for &pid in &linear {
+            let [batched, scalar] = run_linear(ckt, pid);
+            assert_eq!(batched, scalar, "{what}: linear batched vs scalar diverged");
+        }
+        let mut mxv = 0;
+        for pid in test_support::mxv_partitions(ckt) {
+            if let Some((fused, scalar)) = run_mxv(ckt, pid) {
+                assert_eq!(fused, scalar, "{what}: fused vs scalar MxV diverged");
+                mxv += 1;
+            }
+        }
+        (linear.len(), mxv)
+    }
+
+    /// The batched kernels (run slices, fused MxV rows) perform the same
+    /// floating-point operations as the scalar loops, so on random
+    /// circuits over random block geometries and group caps they agree
+    /// bit-for-bit, partition by partition.
+    #[test]
+    fn random_circuits_batched_kernels_match_scalar_exactly() {
+        let mut rng = StdRng::seed_from_u64(20260729);
+        let (mut linear, mut mxv) = (0, 0);
+        for case in 0..60u64 {
+            let n = rng.random_range(3..=8u8);
+            let block_size = 1usize << rng.random_range(0..=5u32);
+            let mxv_cap = rng.random_range(1..=3);
+            let nets = random_circuit(&mut rng, n);
+            let ckt = build(n, block_size, mxv_cap, &nets);
+            let (l, m) = assert_kernels_agree(
+                &ckt,
+                &format!("case {case} (n={n}, B={block_size}, cap={mxv_cap})"),
+            );
+            linear += l;
+            mxv += m;
+        }
+        assert!(linear > 100 && mxv > 100, "{linear} linear, {mxv} MxV");
+    }
+
+    /// The fused MxV path agrees with the per-amplitude factor expansion
+    /// bit-for-bit on a two-factor group whose signature spans in-block
+    /// and cross-block bits.
     #[test]
     fn scalar_and_fused_mxv_agree_exactly() {
-        let mut cfg = SimConfig::with_block_size(4);
-        cfg.num_threads = 1;
-        let mut ckt = Ckt::with_config(5, cfg);
-        let net = ckt.push_net();
-        ckt.insert_gate(GateKind::H, net, &[0]).unwrap();
-        ckt.insert_gate(GateKind::U3(0.3, 0.8, 1.1), net, &[3])
-            .unwrap();
-        ckt.update_state().unwrap();
-        let fused_state = ckt.state();
-
-        let mut cfg = SimConfig::with_block_size(4).with_kernels(KernelPolicy::Scalar);
-        cfg.num_threads = 1;
-        let mut ckt2 = Ckt::with_config(5, cfg);
-        let net = ckt2.push_net();
-        ckt2.insert_gate(GateKind::H, net, &[0]).unwrap();
-        ckt2.insert_gate(GateKind::U3(0.3, 0.8, 1.1), net, &[3])
-            .unwrap();
-        ckt2.update_state().unwrap();
-        assert_eq!(fused_state, ckt2.state());
+        let nets = vec![vec![
+            (GateKind::H, vec![0]),
+            (GateKind::U3(0.3, 0.8, 1.1), vec![3]),
+        ]];
+        let ckt = build(5, 4, 2, &nets);
+        let (_, mxv) = assert_kernels_agree(&ckt, "H(0) U3(3)");
+        assert_eq!(mxv, ckt.geom.num_blocks());
     }
 
     /// When every signature bit sits at or above the block width, the
@@ -569,25 +656,19 @@ mod tests {
     /// and must still agree exactly with the scalar expansion.
     #[test]
     fn whole_block_fused_path_agrees_exactly() {
-        let build = |kernels: KernelPolicy| {
-            let mut cfg = SimConfig::with_block_size(4).with_kernels(kernels);
-            cfg.num_threads = 1;
-            let mut ckt = Ckt::with_config(6, cfg);
-            let net = ckt.push_net();
-            // Targets 3 and 5 and control 4 are all ≥ log2(block) = 2:
-            // sig_mask & (block-1) == 0 → block-uniform fused rows.
-            ckt.insert_gate(GateKind::H, net, &[3]).unwrap();
-            ckt.insert_gate(GateKind::Ch, net, &[4, 5]).unwrap();
-            let tail = ckt.push_net();
-            ckt.insert_gate(GateKind::U3(0.7, 0.2, 1.9), tail, &[5])
-                .unwrap();
-            ckt.update_state().unwrap();
-            ckt.state()
-        };
-        let batched = build(KernelPolicy::Batched);
-        let scalar = build(KernelPolicy::Scalar);
-        assert_eq!(batched, scalar);
-        let norm: f64 = batched.iter().map(|z| z.norm_sqr()).sum();
+        // Targets 3 and 5 and control 4 are all ≥ log2(block) = 2:
+        // sig_mask & (block-1) == 0 → block-uniform fused rows.
+        let nets = vec![
+            vec![(GateKind::H, vec![3]), (GateKind::Ch, vec![4, 5])],
+            vec![(GateKind::U3(0.7, 0.2, 1.9), vec![5])],
+        ];
+        let ckt = build(6, 4, 2, &nets);
+        for pid in test_support::mxv_partitions(&ckt) {
+            let fused = ckt.rows[ckt.parts[pid.key()].row.key()].fused.as_ref();
+            assert_eq!(fused.unwrap().sig_mask() & 3, 0, "block-uniform rows");
+        }
+        assert_kernels_agree(&ckt, "whole-block group");
+        let norm: f64 = ckt.state().iter().map(|z| z.norm_sqr()).sum();
         assert!((norm - 1.0).abs() < 1e-12);
     }
 }

@@ -55,9 +55,7 @@ pub mod spine;
 pub mod test_support;
 pub mod txn;
 
-pub use config::{
-    KernelPolicy, NumericalPolicy, ResolvePolicy, RowOrderPolicy, SimConfig, SnapshotPolicy,
-};
+pub use config::{NumericalPolicy, SimConfig};
 pub use delta::{BlockDelta, SnapshotObserver};
 pub use engine::{Ckt, RecoveryReport, UpdateReport};
 pub use error::{EngineError, InvariantViolation};

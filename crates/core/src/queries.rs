@@ -20,7 +20,6 @@ use crate::error::{payload_text, EngineError};
 use crate::owners::ResolveStats;
 use qtask_num::Complex64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 
 /// Resolution work performed by one query ([`Ckt::amplitude_reported`],
 /// [`Ckt::state_reported`]): the query-side counterpart of
@@ -30,8 +29,8 @@ use std::sync::atomic::Ordering;
 pub struct QueryReport {
     /// COW block resolutions the query performed.
     pub blocks_resolved: u64,
-    /// Owner probes those resolutions cost: rows visited (chain walk) or
-    /// binary-search steps (owner index).
+    /// Owner probes those resolutions cost: binary-search steps in the
+    /// owner index.
     pub owner_probes: u64,
 }
 
@@ -56,39 +55,22 @@ impl Ckt {
     /// Resolves block `b` of the final state against `stats` counters:
     /// the last owner of `b` in row order, or `None` for the implicit
     /// initial state. O(log owners) with the owner index (a reader
-    /// "after every row"), O(rows) under
-    /// [`crate::ResolvePolicy::ChainWalk`]. Shared by the live queries
-    /// (which count into the engine's stats) and snapshot capture (which
-    /// counts into its own).
+    /// "after every row"). Shared by the live queries (which count into
+    /// the engine's stats) and snapshot capture (which counts into its
+    /// own).
     pub(crate) fn resolve_final_data(&self, b: usize, stats: &ResolveStats) -> Option<BlockData> {
-        match self.config.resolve {
-            crate::config::ResolvePolicy::OwnerIndex => {
-                let label_of = |r: crate::row::RowId| {
-                    self.rows
-                        .order_label(r.key())
-                        .expect("owner index holds only live rows")
-                };
-                self.owners.resolve_before(
-                    b,
-                    u64::MAX,
-                    label_of,
-                    |r| self.rows[r.key()].vector.owned(b),
-                    stats,
-                )
-            }
-            crate::config::ResolvePolicy::ChainWalk => {
-                stats.blocks_resolved.fetch_add(1, Ordering::Relaxed);
-                let mut cur = self.rows.tail();
-                while let Some(k) = cur {
-                    stats.owner_probes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(data) = self.rows[k].vector.owned(b) {
-                        return Some(data);
-                    }
-                    cur = self.rows.prev(k);
-                }
-                None
-            }
-        }
+        let label_of = |r: crate::row::RowId| {
+            self.rows
+                .order_label(r.key())
+                .expect("owner index holds only live rows")
+        };
+        self.owners.resolve_before(
+            b,
+            u64::MAX,
+            label_of,
+            |r| self.rows[r.key()].vector.owned(b),
+            stats,
+        )
     }
 
     /// [`Ckt::resolve_final_data`] against the engine's own counters,

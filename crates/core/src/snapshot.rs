@@ -2,12 +2,11 @@
 //! MVCC-style reader/writer split.
 //!
 //! [`crate::Ckt::update_state`] publishes a [`StateSnapshot`] of the
-//! freshly resolved state (unless [`crate::SnapshotPolicy::Disabled`]).
-//! A snapshot is a cheap handle (`Arc` clone) over the per-block
-//! [`crate::cow::BlockData`] buffers that were current at capture time;
-//! it is
-//! `Send + Sync`, so any number of threads can query version *v* while
-//! the owning thread edits the circuit and builds version *v+1*.
+//! freshly resolved state. A snapshot is a cheap handle (`Arc` clone)
+//! over the per-block [`crate::cow::BlockData`] buffers that were current
+//! at capture time; it is `Send + Sync`, so any number of threads can
+//! query version *v* while the owning thread edits the circuit and
+//! builds version *v+1*.
 //!
 //! # Isolation
 //!
@@ -52,6 +51,10 @@ pub(crate) struct SnapInner {
     /// blocks: the buffers are shared copy-on-write with the engine's
     /// rows, so mutating them would break MVCC isolation.
     pub(crate) scale: f64,
+    /// Unscaled `Σ|ψ|²` of `blocks`: the engine's per-block norm cache
+    /// summed at publication (per block, then blocks in ascending
+    /// order), so [`StateSnapshot::norm_sqr`] rescans nothing.
+    pub(crate) raw_norm_sqr: f64,
 }
 
 impl SnapInner {
@@ -64,6 +67,7 @@ impl SnapInner {
         blocks: Spine,
         capture_report: QueryReport,
         scale: f64,
+        raw_norm_sqr: f64,
     ) -> SnapInner {
         qtask_faults::fault_point!("snapshot/publish");
         SnapInner {
@@ -72,6 +76,7 @@ impl SnapInner {
             blocks,
             capture_report,
             scale,
+            raw_norm_sqr,
         }
     }
 }
@@ -205,25 +210,10 @@ impl StateSnapshot {
         out
     }
 
-    /// Sum of squared amplitudes (≈ 1 for a consistent state).
+    /// Sum of squared amplitudes (≈ 1 for a consistent state). O(1): the
+    /// unscaled sum was computed once, at publication.
     pub fn norm_sqr(&self) -> f64 {
-        let p_scale = self.inner.scale * self.inner.scale;
-        self.inner
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(b, slot)| match slot {
-                Some(d) => d.iter().map(|z| z.norm_sqr()).sum::<f64>(),
-                None => {
-                    if b == 0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            })
-            .sum::<f64>()
-            * p_scale
+        self.inner.raw_norm_sqr * (self.inner.scale * self.inner.scale)
     }
 
     /// Draws one computational-basis measurement outcome.
@@ -320,6 +310,7 @@ mod tests {
                 geom,
                 Spine::new(geom.num_blocks()),
                 QueryReport::default(),
+                1.0,
                 1.0,
             )),
         }

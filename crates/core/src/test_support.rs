@@ -7,6 +7,11 @@
 //! `pub(crate)`, so this module re-exposes exactly the two operations the
 //! test performs. Not a public API; hidden from docs and subject to
 //! change.
+//!
+//! The engine's own published snapshot pins every final block, so a
+//! re-executing partition could not reclaim its buffer. The hooks
+//! therefore first detach the partitions' blocks from that snapshot, as
+//! `update_state` does before execution.
 
 use crate::engine::Ckt;
 use crate::exec::{self, ExecView};
@@ -30,7 +35,7 @@ fn partitions_of_kind(ckt: &Ckt, want: impl Fn(&RowKind) -> bool) -> Vec<PartId>
         .collect()
 }
 
-fn exec_view(ckt: &Ckt) -> ExecView<'_> {
+pub(crate) fn exec_view(ckt: &Ckt) -> ExecView<'_> {
     ExecView {
         rows: &ckt.rows,
         parts: &ckt.parts,
@@ -38,14 +43,25 @@ fn exec_view(ckt: &Ckt) -> ExecView<'_> {
         stats: &ckt.resolve_stats,
         geom: ckt.geom,
         n_qubits: ckt.num_qubits(),
-        resolve: ckt.config.resolve,
-        kernels: ckt.config.kernels,
+    }
+}
+
+/// Detaches the blocks of `pids` from the engine's published snapshot,
+/// as `update_state` does before execution, so the partitions can
+/// reclaim their buffers. The detached spine is dropped, not republished
+/// — publication allocates the snapshot handle — so the next
+/// `update_state` recaptures every block. A no-op once detached, which
+/// keeps repeated calls allocation-free.
+fn detach_from_snapshot(ckt: &mut Ckt, pids: &[PartId]) {
+    if ckt.latest.is_some() {
+        drop(ckt.detach_for_rewrite(pids));
     }
 }
 
 /// Re-executes the given MxV partitions once, serially, on the calling
 /// thread — the body an incremental update would run for them.
-pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
+pub fn reexec_mxv_partitions(ckt: &mut Ckt, pids: &[PartId]) {
+    detach_from_snapshot(ckt, pids);
     let view = exec_view(ckt);
     for &pid in pids {
         exec::exec_mxv_partition(view, pid);
@@ -57,7 +73,8 @@ pub fn reexec_mxv_partitions(ckt: &Ckt, pids: &[PartId]) {
 /// shape of `update_state`). Idempotent: tasks re-materialize their
 /// blocks from the *previous* row's resolved content before applying the
 /// gate.
-pub fn reexec_linear_partitions(ckt: &Ckt, pids: &[PartId]) {
+pub fn reexec_linear_partitions(ckt: &mut Ckt, pids: &[PartId]) {
+    detach_from_snapshot(ckt, pids);
     let view = exec_view(ckt);
     for &pid in pids {
         let ranks = {

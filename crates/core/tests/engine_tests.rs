@@ -6,7 +6,7 @@
 //! full simulation, and any sequence of incremental modifier+update
 //! steps — must match the oracle on the final circuit.
 
-use qtask_core::{Ckt, RowOrderPolicy, SimConfig};
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::kernels;
@@ -284,22 +284,6 @@ fn modifiers_across_block_sizes_match_oracle() {
     }
 }
 
-#[test]
-fn append_policy_matches_sorted_policy() {
-    for policy in [RowOrderPolicy::SortedByBlockCount, RowOrderPolicy::Append] {
-        let mut cfg = SimConfig::with_block_size(4);
-        cfg.row_order = policy;
-        let mut ckt = Ckt::with_config(4, cfg);
-        let net = ckt.push_net();
-        // Mixed-span linear gates in one net.
-        ckt.insert_gate(GateKind::X, net, &[3]).unwrap(); // wide partition
-        ckt.insert_gate(GateKind::Z, net, &[0]).unwrap(); // narrow
-        ckt.insert_gate(GateKind::Cx, net, &[1, 2]).unwrap();
-        ckt.update_state().unwrap();
-        assert_matches_oracle(&ckt, &format!("{policy:?}"));
-    }
-}
-
 fn random_gate(rng: &mut StdRng, n: u8) -> (GateKind, Vec<u8>) {
     let mut qubits: Vec<u8> = (0..n).collect();
     qubits.shuffle(rng);
@@ -424,10 +408,9 @@ fn insert_into_middle_net_after_update() {
 /// owns only the top-half blocks — a read of a bottom-half block from the
 /// chain's tail must look past the entire chain, which is exactly the
 /// depth-proportional pattern the owner index collapses.
-fn phase_chain(depth: usize, resolve: qtask_core::ResolvePolicy) -> Ckt {
+fn phase_chain(depth: usize) -> Ckt {
     let mut cfg = SimConfig::with_block_size(4);
     cfg.num_threads = 2;
-    cfg.resolve = resolve;
     let mut ckt = Ckt::with_config(4, cfg);
     for _ in 0..depth {
         let net = ckt.push_net();
@@ -437,59 +420,31 @@ fn phase_chain(depth: usize, resolve: qtask_core::ResolvePolicy) -> Ckt {
 }
 
 #[test]
-fn resolve_policies_agree_and_index_probes_stay_flat() {
-    use qtask_core::ResolvePolicy;
-    // Same circuit under both policies: identical states, and after a
-    // one-gate incremental update the owner index must spend
-    // asymptotically fewer probes per resolution than the chain walk.
-    let mut reports = Vec::new();
-    let mut states = Vec::new();
-    for policy in [ResolvePolicy::OwnerIndex, ResolvePolicy::ChainWalk] {
-        let mut ckt = phase_chain(512, policy);
+fn owner_index_probe_cost_is_depth_independent() {
+    // After a one-gate incremental update at the tail of a deep chain,
+    // every resolution costs ~log2(owners) probes, not a walk
+    // proportional to the chain, and doubling the depth must not grow
+    // that cost (the O(d) → O(log) claim, asymptotically).
+    let mut costs = Vec::new();
+    for depth in [128usize, 512] {
+        let mut ckt = phase_chain(depth);
         ckt.update_state().unwrap();
         // One trailing X(q0): touches every block, so its task reads the
         // bottom-half blocks that no chain row owns.
         let net = ckt.push_net();
         ckt.insert_gate(GateKind::X, net, &[0]).unwrap();
         let report = ckt.update_state().unwrap();
-        assert!(report.blocks_resolved > 0, "{policy:?} resolved no blocks");
-        states.push(ckt.state());
-        reports.push(report);
-        assert_matches_oracle(&ckt, &format!("depth-512 chain, {policy:?}"));
+        assert!(
+            report.blocks_resolved > 0,
+            "depth {depth}: resolved no blocks"
+        );
+        assert_matches_oracle(&ckt, &format!("depth-{depth} chain"));
+        costs.push(report.owner_probes as f64 / report.blocks_resolved as f64);
     }
     assert!(
-        vecops::approx_eq(&states[0], &states[1], 1e-9),
-        "policies disagree by {}",
-        vecops::max_abs_diff(&states[0], &states[1])
+        costs[1] < 16.0,
+        "owner-index probes must stay logarithmic at depth 512: {costs:?}"
     );
-    let probes_per_block =
-        |r: &qtask_core::UpdateReport| r.owner_probes as f64 / r.blocks_resolved as f64;
-    let (index_cost, walk_cost) = (probes_per_block(&reports[0]), probes_per_block(&reports[1]));
-    // The chain walk visits O(depth) rows per resolution at the tail of a
-    // depth-512 chain; the index needs ~log2(owners) probes.
-    assert!(
-        walk_cost > 20.0 * index_cost,
-        "expected depth-proportional walk cost, got index={index_cost:.1} walk={walk_cost:.1}"
-    );
-    assert!(
-        index_cost < 16.0,
-        "owner-index probes must stay logarithmic, got {index_cost:.1}"
-    );
-}
-
-#[test]
-fn owner_index_probe_cost_is_depth_independent() {
-    // Doubling the depth must not grow the per-resolution probe cost of
-    // the incremental update (the O(d) → O(log) claim, asymptotically).
-    let mut costs = Vec::new();
-    for depth in [128usize, 512] {
-        let mut ckt = phase_chain(depth, qtask_core::ResolvePolicy::OwnerIndex);
-        ckt.update_state().unwrap();
-        let net = ckt.push_net();
-        ckt.insert_gate(GateKind::X, net, &[0]).unwrap();
-        let report = ckt.update_state().unwrap();
-        costs.push(report.owner_probes as f64 / report.blocks_resolved.max(1) as f64);
-    }
     assert!(
         costs[1] <= costs[0] * 1.5 + 2.0,
         "probe cost grew with depth: {costs:?}"
@@ -501,7 +456,7 @@ fn owner_index_consistent_after_removal_storm_on_deep_chain() {
     // Remove every third gate of a deep chain (no update in between),
     // then update: the index must match ground truth and the state the
     // oracle.
-    let mut ckt = phase_chain(120, qtask_core::ResolvePolicy::OwnerIndex);
+    let mut ckt = phase_chain(120);
     ckt.update_state().unwrap();
     let gates: Vec<qtask_circuit::GateId> =
         ckt.circuit().ordered_gates().map(|(gid, _)| gid).collect();
@@ -516,53 +471,45 @@ fn owner_index_consistent_after_removal_storm_on_deep_chain() {
 
 #[test]
 fn query_reports_surface_resolution_work() {
-    use qtask_core::{KernelPolicy, QueryReport, ResolvePolicy};
-    for resolve in [ResolvePolicy::OwnerIndex, ResolvePolicy::ChainWalk] {
-        let mut cfg = SimConfig::with_block_size(4).with_resolve(resolve);
-        cfg.num_threads = 1;
-        let mut ckt = Ckt::with_config(6, cfg);
-        for target in [0u8, 3, 5] {
-            let net = ckt.push_net();
-            ckt.insert_gate(GateKind::H, net, &[target]).unwrap();
-        }
-        ckt.update_state().unwrap();
-        // A single amplitude resolves exactly one block.
-        let (amp, report) = ckt.amplitude_reported(0);
-        assert_eq!(report.blocks_resolved, 1, "{resolve:?}");
-        assert!(report.owner_probes >= 1, "{resolve:?}: {report:?}");
-        assert!((amp.norm_sqr() - 1.0 / 8.0).abs() < 1e-12);
-        // Materializing the state resolves every block once.
-        let (state, report) = ckt.state_reported();
-        assert_eq!(state.len(), 1 << 6);
-        assert_eq!(report.blocks_resolved, ckt.geometry().num_blocks() as u64);
-        assert!(report.owner_probes >= report.blocks_resolved);
-        // Reports are deltas, not running totals.
-        let (_, again) = ckt.amplitude_reported(0);
-        assert_eq!(again.blocks_resolved, 1);
-        assert_eq!(QueryReport::default().blocks_resolved, 0);
+    use qtask_core::QueryReport;
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 1;
+    let mut ckt = Ckt::with_config(6, cfg);
+    for target in [0u8, 3, 5] {
+        let net = ckt.push_net();
+        ckt.insert_gate(GateKind::H, net, &[target]).unwrap();
     }
-    // Under ChainWalk the probe count reflects the walk depth; the owner
-    // index answers in O(log owners) — fewer probes on a deep chain.
+    ckt.update_state().unwrap();
+    // A single amplitude resolves exactly one block.
+    let (amp, report) = ckt.amplitude_reported(0);
+    assert_eq!(report.blocks_resolved, 1);
+    assert!(report.owner_probes >= 1, "{report:?}");
+    assert!((amp.norm_sqr() - 1.0 / 8.0).abs() < 1e-12);
+    // Materializing the state resolves every block once.
+    let (state, report) = ckt.state_reported();
+    assert_eq!(state.len(), 1 << 6);
+    assert_eq!(report.blocks_resolved, ckt.geometry().num_blocks() as u64);
+    assert!(report.owner_probes >= report.blocks_resolved);
+    // Reports are deltas, not running totals.
+    let (_, again) = ckt.amplitude_reported(0);
+    assert_eq!(again.blocks_resolved, 1);
+    assert_eq!(QueryReport::default().blocks_resolved, 0);
+
+    // The owner index answers a read past a deep chain in O(log owners):
+    // block 0 is owned only by early rows, so a walk would visit all 64.
     let deep = 64usize;
-    let mut probes = Vec::new();
-    for resolve in [ResolvePolicy::OwnerIndex, ResolvePolicy::ChainWalk] {
-        let mut cfg = SimConfig::with_block_size(4)
-            .with_resolve(resolve)
-            .with_kernels(KernelPolicy::Batched);
-        cfg.num_threads = 1;
-        let mut ckt = Ckt::with_config(8, cfg);
-        for _ in 0..deep {
-            let net = ckt.push_net();
-            ckt.insert_gate(GateKind::T, net, &[7]).unwrap();
-        }
-        ckt.update_state().unwrap();
-        // Block 0 is owned only by early rows: the chain walk scans the
-        // whole row list, the index binary-searches it.
-        let (_, report) = ckt.amplitude_reported(0);
-        probes.push(report.owner_probes);
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 1;
+    let mut ckt = Ckt::with_config(8, cfg);
+    for _ in 0..deep {
+        let net = ckt.push_net();
+        ckt.insert_gate(GateKind::T, net, &[7]).unwrap();
     }
+    ckt.update_state().unwrap();
+    let (_, report) = ckt.amplitude_reported(0);
+    assert_eq!(report.blocks_resolved, 1);
     assert!(
-        probes[0] * 4 < probes[1],
-        "owner index should probe far less than the chain walk: {probes:?}"
+        report.owner_probes * 4 < deep as u64,
+        "owner index should binary-search the chain, not walk it: {report:?}"
     );
 }

@@ -1,104 +1,46 @@
-//! Randomized differential test of the kernel policies.
+//! Randomized differential test of the engine's kernels.
 //!
 //! Drives random circuits — every `LinearOp` class plus dense gates —
-//! through the engine under both `KernelPolicy` variants, on random block
-//! geometries and group caps, and checks the final state against the flat
-//! scalar kernels applied gate-at-a-time in the engine's row order.
-//!
-//! Two claims are verified per case:
-//! 1. `Batched` and `Scalar` agree **bit-for-bit** — the batched slice
-//!    kernels and the fused MxV rows perform the same floating-point
-//!    operations as the scalar loops, just over whole runs.
-//! 2. Both match the flat-kernel oracle to tight tolerance (exact
-//!    equality is not guaranteed here: the engine may reorder commuting
-//!    gates within a net, which reassociates products in the last ulp).
+//! through the engine on random block geometries and group caps, and
+//! checks the state against the flat scalar kernels applied
+//! gate-at-a-time. Exact equality is not guaranteed here: the engine may
+//! reorder commuting gates within a net, which reassociates products in
+//! the last ulp, so the check is a tight tolerance. Bit-for-bit
+//! agreement of the batched and scalar kernels is pinned per partition
+//! by the unit tests in `src/exec.rs`.
 
-use qtask_core::{Ckt, KernelPolicy, ResolvePolicy, SimConfig};
+use qtask_circuit::NetId;
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_num::{vecops, Complex64};
 use qtask_partition::kernels;
 use rand::prelude::*;
 
-/// A random gate whose qubits avoid `occupied` (net-conflict-free).
-fn random_gate(rng: &mut StdRng, n: u8, occupied: &mut u64) -> Option<(GateKind, Vec<u8>)> {
-    let kinds: [GateKind; 14] = [
-        GateKind::X,
-        GateKind::Y,
-        GateKind::Z,
-        GateKind::H,
-        GateKind::S,
-        GateKind::T,
-        GateKind::Rz(0.9),
-        GateKind::Ry(1.3),
-        GateKind::U3(0.3, 0.8, 1.1),
-        GateKind::Cx,
-        GateKind::Cz,
-        GateKind::Ch,
-        GateKind::Swap,
-        GateKind::Ccx,
-    ];
-    let kind = kinds[rng.random_range(0..kinds.len())];
-    let free: Vec<u8> = (0..n).filter(|q| *occupied & (1 << q) == 0).collect();
-    let arity = kind.arity();
-    if free.len() < arity {
-        return None;
-    }
-    // Pick `arity` distinct free qubits.
-    let mut pool = free;
-    let mut qubits = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let i = rng.random_range(0..pool.len());
-        qubits.push(pool.swap_remove(i));
-    }
-    for &q in &qubits {
-        *occupied |= 1 << q;
-    }
-    Some((kind, qubits))
-}
+mod common;
+use common::{random_circuit, NetGates};
 
-/// Random circuit as a per-net gate list.
-fn random_circuit(rng: &mut StdRng, n: u8) -> Vec<Vec<(GateKind, Vec<u8>)>> {
-    let num_nets = rng.random_range(2..=5);
-    (0..num_nets)
-        .map(|_| {
-            let mut occupied = 0u64;
-            let tries = rng.random_range(1..=4);
-            (0..tries)
-                .filter_map(|_| random_gate(rng, n, &mut occupied))
-                .collect()
-        })
-        .collect()
-}
-
-fn run_engine(
-    nets: &[Vec<(GateKind, Vec<u8>)>],
-    n: u8,
-    block_size: usize,
-    mxv_cap: usize,
-    kernels: KernelPolicy,
-    resolve: ResolvePolicy,
-) -> Vec<Complex64> {
-    let mut cfg = SimConfig::with_block_size(block_size)
-        .with_kernels(kernels)
-        .with_resolve(resolve);
-    cfg.num_threads = 2;
-    cfg.mxv_group_max = mxv_cap;
+/// Builds and simulates `nets`; returns the engine and its net ids.
+fn build(nets: &NetGates, n: u8, cfg: SimConfig) -> (Ckt, Vec<NetId>) {
     let mut ckt = Ckt::with_config(n, cfg);
-    for net_gates in nets {
-        let net = ckt.push_net();
-        for (kind, qubits) in net_gates {
-            ckt.insert_gate(*kind, net, qubits).unwrap();
-        }
-    }
+    let ids = nets
+        .iter()
+        .map(|net_gates| {
+            let net = ckt.push_net();
+            for (kind, qubits) in net_gates {
+                ckt.insert_gate(*kind, net, qubits).unwrap();
+            }
+            net
+        })
+        .collect();
     ckt.update_state().unwrap();
-    ckt.state()
+    (ckt, ids)
 }
 
 /// Flat-kernel oracle: apply the nets gate-at-a-time with the shared flat
 /// kernels. Within a net all gates act on disjoint qubits and commute, so
 /// insertion order is as good as the engine's row order (up to last-ulp
 /// reassociation, covered by the tolerance).
-fn oracle_state(nets: &[Vec<(GateKind, Vec<u8>)>], n: u8) -> Vec<Complex64> {
+fn oracle_state(nets: &NetGates, n: u8) -> Vec<Complex64> {
     let mut state = vecops::ket_zero(n as usize);
     for net_gates in nets {
         for (kind, qubits) in net_gates {
@@ -119,27 +61,10 @@ fn random_circuits_agree_across_kernel_policies() {
         let block_size = 1usize << rng.random_range(0..=5u32);
         let mxv_cap = rng.random_range(1..=3);
         let nets = random_circuit(&mut rng, n);
-        let batched = run_engine(
-            &nets,
-            n,
-            block_size,
-            mxv_cap,
-            KernelPolicy::Batched,
-            ResolvePolicy::OwnerIndex,
-        );
-        let scalar = run_engine(
-            &nets,
-            n,
-            block_size,
-            mxv_cap,
-            KernelPolicy::Scalar,
-            ResolvePolicy::OwnerIndex,
-        );
-        // Bit-exact agreement between the policies.
-        assert_eq!(
-            batched, scalar,
-            "case {case}: batched vs scalar diverged (n={n}, B={block_size}, cap={mxv_cap})"
-        );
+        let mut cfg = SimConfig::with_block_size(block_size);
+        cfg.num_threads = 2;
+        cfg.mxv_group_max = mxv_cap;
+        let batched = build(&nets, n, cfg).0.state();
         // vs the flat oracle: tight tolerance, not exactness — the engine
         // reorders commuting gates within a net and the MxV sums source
         // terms in fused-row order, which reassociates the last ulp.
@@ -156,36 +81,18 @@ fn random_circuits_agree_across_kernel_policies() {
 
 #[test]
 fn incremental_toggles_agree_across_kernel_policies() {
-    // Policy agreement must survive incremental restructuring, not just
-    // build-once circuits: toggle gates in and out between updates.
+    // Oracle agreement must survive incremental restructuring, not just
+    // build-once circuits: toggle gates in and out between updates and
+    // check every published state.
     let mut rng = StdRng::seed_from_u64(777);
     for _ in 0..10 {
         let n = rng.random_range(4..=7u8);
         let block_size = 1usize << rng.random_range(1..=4u32);
         let nets = random_circuit(&mut rng, n);
-        let mut sims: Vec<Ckt> = [KernelPolicy::Batched, KernelPolicy::Scalar]
-            .into_iter()
-            .map(|k| {
-                let mut cfg = SimConfig::with_block_size(block_size).with_kernels(k);
-                cfg.num_threads = 1;
-                Ckt::with_config(n, cfg)
-            })
-            .collect();
-        let mut net_ids = Vec::new();
-        for ckt in &mut sims {
-            let ids: Vec<_> = nets
-                .iter()
-                .map(|net_gates| {
-                    let net = ckt.push_net();
-                    for (kind, qubits) in net_gates {
-                        ckt.insert_gate(*kind, net, qubits).unwrap();
-                    }
-                    net
-                })
-                .collect();
-            ckt.update_state().unwrap();
-            net_ids.push(ids);
-        }
+        let mut cfg = SimConfig::with_block_size(block_size);
+        cfg.num_threads = 1;
+        let (mut ckt, net_ids) = build(&nets, n, cfg);
+        let base = oracle_state(&nets, n);
         for round in 0..4 {
             let target = rng.random_range(0..n);
             let kind = if round % 2 == 0 {
@@ -194,17 +101,26 @@ fn incremental_toggles_agree_across_kernel_policies() {
                 GateKind::S
             };
             let pick = rng.random_range(0..nets.len());
-            let mut states = Vec::new();
-            for (ckt, ids) in sims.iter_mut().zip(&net_ids) {
-                let gid = ckt.insert_gate(kind, ids[pick], &[target]);
+            let gid = ckt.insert_gate(kind, net_ids[pick], &[target]);
+            ckt.update_state().unwrap();
+            if let Ok(gid) = gid {
+                // Within a net gates act on disjoint qubits and commute,
+                // so appending the toggled gate is the oracle's order.
+                let mut toggled = nets.clone();
+                toggled[pick].push((kind, vec![target]));
+                let want = oracle_state(&toggled, n);
+                assert!(
+                    vecops::approx_eq(&ckt.state(), &want, 1e-12),
+                    "round {round}: toggled-in state diverged from the oracle"
+                );
+                ckt.remove_gate(gid).unwrap();
                 ckt.update_state().unwrap();
-                if let Ok(gid) = gid {
-                    ckt.remove_gate(gid).unwrap();
-                    ckt.update_state().unwrap();
-                }
-                states.push(ckt.state());
             }
-            assert_eq!(states[0], states[1], "policies diverged after toggles");
+            assert!(
+                vecops::approx_eq(&ckt.state(), &base, 1e-12),
+                "round {round}: state after the toggle diverged from the oracle by {}",
+                vecops::max_abs_diff(&ckt.state(), &base)
+            );
         }
     }
 }

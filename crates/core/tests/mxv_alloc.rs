@@ -7,16 +7,17 @@
 //! its whole body: the harness may run them on parallel threads, and a
 //! sibling's allocations must never land inside a measurement window.
 //!
-//! All engines here disable snapshot publication: a snapshot held by the
-//! engine pins every resolved block, so re-executing partitions would
-//! copy-on-write fork (allocate) *by design* — MVCC isolation. What these
-//! tests pin down is the pin-free fast path, which `update_state` also
-//! reaches under the default `Publish` policy by detaching the previous
+//! A snapshot held by the engine pins every resolved block, so
+//! re-executing partitions would copy-on-write fork (allocate) *by
+//! design* — MVCC isolation. What these tests pin down is the pin-free
+//! fast path, which `update_state` reaches by detaching the previous
 //! snapshot's dirty blocks before execution when no external reader
-//! shares it.
+//! shares it. The `test_support::reexec_*` hooks run outside
+//! `update_state`, so they detach the partitions' blocks the same way
+//! before re-executing them.
 
 use qtask_core::test_support;
-use qtask_core::{Ckt, KernelPolicy, SimConfig, SnapshotPolicy};
+use qtask_core::{Ckt, SimConfig};
 use qtask_gates::GateKind;
 use qtask_util::alloc_counter::CountingAlloc;
 use std::sync::{Mutex, MutexGuard};
@@ -31,7 +32,7 @@ fn alloc_guard() -> MutexGuard<'static, ()> {
 }
 
 fn alloc_test_config() -> SimConfig {
-    let mut cfg = SimConfig::with_block_size(8).with_snapshots(SnapshotPolicy::Disabled);
+    let mut cfg = SimConfig::with_block_size(8);
     cfg.num_threads = 1;
     cfg
 }
@@ -42,9 +43,7 @@ fn alloc_test_config() -> SimConfig {
 #[test]
 fn warm_mxv_reexecution_allocates_nothing() {
     let _guard = alloc_guard();
-    let cfg = alloc_test_config();
-    assert_eq!(cfg.kernels, KernelPolicy::Batched);
-    let mut ckt = Ckt::with_config(6, cfg);
+    let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     // A two-factor group (the default cap), one gate controlled: the
     // fused signature spans controls and targets.
@@ -56,9 +55,9 @@ fn warm_mxv_reexecution_allocates_nothing() {
     assert!(!pids.is_empty());
     // One more warm pass outside the measurement window (owner-index
     // entries and lazily sized scratch reach steady state).
-    test_support::reexec_mxv_partitions(&ckt, &pids);
+    test_support::reexec_mxv_partitions(&mut ckt, &pids);
     let before = CountingAlloc::alloc_calls();
-    test_support::reexec_mxv_partitions(&ckt, &pids);
+    test_support::reexec_mxv_partitions(&mut ckt, &pids);
     let after = CountingAlloc::alloc_calls();
     assert_eq!(
         after - before,
@@ -98,9 +97,9 @@ fn warm_linear_reexecution_allocates_nothing() {
     assert!(!pids.is_empty());
     // Warm pass: grows each partition's scratch pool and the entry-vector
     // capacities to their steady state.
-    test_support::reexec_linear_partitions(&ckt, &pids);
+    test_support::reexec_linear_partitions(&mut ckt, &pids);
     let before = CountingAlloc::alloc_calls();
-    test_support::reexec_linear_partitions(&ckt, &pids);
+    test_support::reexec_linear_partitions(&mut ckt, &pids);
     let after = CountingAlloc::alloc_calls();
     assert_eq!(
         after - before,
@@ -186,17 +185,13 @@ fn warm_retained_update_is_allocation_stable() {
 
 /// The end-to-end guarantee behind the two micro-tests above: a whole
 /// warm `update_state` — graph build aside, nothing else — reclaims its
-/// buffers through the default `Publish` policy too, because the writer
-/// detaches the previous snapshot's dirty blocks when no reader shares
-/// it. With an external reader holding the snapshot, the same update
+/// buffers while publishing a snapshot, because the writer detaches the
+/// previous snapshot's dirty blocks when no reader shares it. With an external reader holding the snapshot, the same update
 /// must fork instead (strictly more allocations).
 #[test]
 fn publish_policy_forks_only_for_live_readers() {
     let _guard = alloc_guard();
-    let mut cfg = SimConfig::with_block_size(8);
-    cfg.num_threads = 1;
-    assert_eq!(cfg.snapshots, SnapshotPolicy::Publish);
-    let mut ckt = Ckt::with_config(6, cfg);
+    let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let tail = ckt.push_net();
@@ -216,7 +211,7 @@ fn publish_policy_forks_only_for_live_readers() {
     let unpinned = CountingAlloc::alloc_calls() - before;
     // Same toggle while a reader holds the previous version: the write
     // set must fork, so strictly more allocations happen.
-    let reader = ckt.latest_snapshot().expect("publish policy");
+    let reader = ckt.latest_snapshot().expect("every update publishes");
     let before = CountingAlloc::alloc_calls();
     toggle(&mut ckt);
     let pinned = CountingAlloc::alloc_calls() - before;
@@ -236,9 +231,7 @@ fn publish_policy_forks_only_for_live_readers() {
 #[test]
 fn long_lived_reader_does_not_perturb_warm_profile() {
     let _guard = alloc_guard();
-    let mut cfg = SimConfig::with_block_size(8);
-    cfg.num_threads = 1;
-    let mut ckt = Ckt::with_config(6, cfg);
+    let mut ckt = Ckt::with_config(6, alloc_test_config());
     let net = ckt.push_net();
     ckt.insert_gate(GateKind::H, net, &[1]).unwrap();
     let tail = ckt.push_net();
@@ -256,7 +249,7 @@ fn long_lived_reader_does_not_perturb_warm_profile() {
     toggle(&mut ckt);
     let unpinned = CountingAlloc::alloc_calls() - before;
 
-    let reader = ckt.latest_snapshot().expect("publish policy");
+    let reader = ckt.latest_snapshot().expect("every update publishes");
     let pinned_version = reader.version();
     let pinned_state = reader.state();
     // The toggle right after pinning is the only one allowed to fork.

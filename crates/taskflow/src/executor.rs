@@ -21,9 +21,9 @@
 //!    while jobs point into it; workers mutate only the atomic
 //!    countdowns.
 //! 2. **Exactly-once release** — each dirty node's jobs are published
-//!    once: a root by `run_dirty` (the root set is fixed from the dirty
-//!    flags and predecessor lists before the first job is published), any
-//!    other node by the completion that drops its join count to zero.
+//!    once: a root by `run_dirty` (the root set is collected from the
+//!    join counts before the first job is published), any other node by
+//!    the completion that drops its join count to zero.
 //!    So `pending`, which starts at the run's job count, reaches zero only
 //!    after every job completed.
 //! 3. **Liveness** — `run_dirty` keeps its `RetainedRun` (and the
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::retained::{DirtyRunStats, NodeId, RetainedGraph, RetainedNode};
+use crate::retained::{DirtyRunStats, KahnScratch, NodeId, RetainedGraph, RetainedNode};
 use qtask_util::Arena;
 
 /// Structured description of a task panic, returned by
@@ -342,36 +342,29 @@ impl Executor {
                 }
             }
         }
-        #[cfg(debug_assertions)]
-        assert_acyclic(nodes, &graph.dirty);
+        // Pass 3, in every build: reject a cycle before anything is
+        // published — it would strand the pending counter and hang the
+        // run, including one reachable from a root (`r → a → b → a`).
+        // The same pass collects the roots (dirty nodes without a dirty
+        // predecessor). They must be fixed before the first publication:
+        // after it, a worker (awake on another caller's run) may complete
+        // a root and drop a later node's count to zero, and that node is
+        // then released by the worker — testing `join == 0` while
+        // publishing would publish it a second time.
+        let roots = topo_order(nodes, &graph.dirty, &mut graph.kahn);
 
-        // Publish the roots and wait for the drain. A root is a dirty node
-        // without a dirty predecessor; the dirty flags do not change until
-        // the drain, so this set is fixed for the whole run. The join
-        // counts are not: once the first root is published, a worker
-        // (awake on another caller's run) may complete it and drop a later
-        // node's count to zero, and that node is then released by the
-        // worker — testing `join == 0` here would publish it a second time.
+        // Publish the roots and wait for the drain.
         graph.run.arm(jobs);
         let run = RetainedRun {
             nodes,
             invoke,
             state: &graph.run,
         };
-        let mut any_root = false;
-        for &d in &graph.dirty {
-            let node = &nodes[d.key()];
-            if !node.preds.iter().any(|p| nodes[p.key()].dirty) {
-                any_root = true;
-                for job in run.jobs_of(d, node.chunks) {
-                    self.inner.injector.push(job);
-                }
+        for &d in &graph.kahn.order[..roots] {
+            for job in run.jobs_of(d, nodes[d.key()].chunks) {
+                self.inner.injector.push(job);
             }
         }
-        assert!(
-            any_root,
-            "retained dirty subset has no root: dependency cycle"
-        );
         wake_workers(&self.inner);
         let panic = run.state.wait();
 
@@ -392,42 +385,49 @@ impl Executor {
     }
 }
 
-/// Kahn's algorithm over the dirty subset of a retained graph: a cycle
-/// there would strand the pending counter and hang the run. Its two
-/// buffers are sized once, so debug builds keep `run_dirty`'s
-/// allocation count independent of the graph size too.
-#[cfg(debug_assertions)]
-fn assert_acyclic(nodes: &Arena<RetainedNode>, dirty: &[NodeId]) {
-    let mut indeg: Vec<u32> = dirty
-        .iter()
-        .map(|d| nodes[d.key()].join.load(Ordering::Relaxed))
-        .collect();
-    let mut stack: Vec<NodeId> = Vec::with_capacity(dirty.len());
-    stack.extend(
+/// Kahn's algorithm over the dirty subset of a retained graph, seeded
+/// from the pre-publication join counts. Leaves a topological order of
+/// the dirty nodes in `kahn.order` and returns how many lead it with a
+/// zero count: the run's roots. Panics on a cycle. The buffers are reused
+/// across runs and reserved to the dirty-set size, so the check adds no
+/// allocation that grows with the graph.
+fn topo_order(nodes: &Arena<RetainedNode>, dirty: &[NodeId], kahn: &mut KahnScratch) -> usize {
+    let KahnScratch { indeg, order } = kahn;
+    indeg.clear();
+    indeg.extend(
+        dirty
+            .iter()
+            .map(|d| nodes[d.key()].join.load(Ordering::Relaxed)),
+    );
+    order.clear();
+    order.reserve(dirty.len());
+    order.extend(
         dirty
             .iter()
             .copied()
             .filter(|d| indeg[nodes[d.key()].slot as usize] == 0),
     );
-    let mut seen = 0usize;
-    while let Some(d) = stack.pop() {
-        seen += 1;
+    let roots = order.len();
+    let mut next = 0;
+    while let Some(&d) = order.get(next) {
+        next += 1;
         for &s in &nodes[d.key()].succs {
             let succ = &nodes[s.key()];
             if succ.dirty {
                 let deg = &mut indeg[succ.slot as usize];
                 *deg -= 1;
                 if *deg == 0 {
-                    stack.push(s);
+                    order.push(s);
                 }
             }
         }
     }
     assert_eq!(
-        seen,
+        order.len(),
         dirty.len(),
         "retained dirty subset has a dependency cycle"
     );
+    roots
 }
 
 impl Drop for Executor {

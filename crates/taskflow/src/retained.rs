@@ -84,6 +84,17 @@ pub struct RetainedGraph {
     /// Completion bookkeeping reused by every `run_dirty` (pending
     /// count, first panic, done gate).
     pub(crate) run: crate::executor::RunState,
+    /// Buffers of `run_dirty`'s acyclicity check, reused by every run.
+    pub(crate) kahn: KahnScratch,
+}
+
+/// Working set of `run_dirty`'s cycle check (Kahn's algorithm over the
+/// dirty subset): in-degrees by run slot, and the topological order,
+/// whose leading entries are the roots the run publishes.
+#[derive(Default)]
+pub(crate) struct KahnScratch {
+    pub(crate) indeg: Vec<u32>,
+    pub(crate) order: Vec<NodeId>,
 }
 
 impl RetainedGraph {
@@ -440,6 +451,43 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    /// A cycle reachable from a root (`r → a → b → a`) leaves the root
+    /// set non-empty, so only a full acyclicity check catches it; the
+    /// check must run in release builds too, or the run waits forever
+    /// on the stranded cycle.
+    #[test]
+    fn reachable_dirty_cycle_is_rejected() {
+        let ex = Executor::new(2);
+        let mut g = RetainedGraph::new();
+        let r = g.insert(1, 1, name("r"));
+        let a = g.insert(2, 1, name("a"));
+        let b = g.insert(3, 1, name("b"));
+        g.add_edge(r, a);
+        g.add_edge(a, b);
+        g.add_edge(b, a);
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ex.run_dirty(&mut g, &|_, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let message = crate::executor::panic_message(caught.unwrap_err().as_ref());
+        assert!(message.contains("dependency cycle"), "{message}");
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "not even the root ran");
+        // Nothing was published, so the executor runs the next graph.
+        let mut h = RetainedGraph::new();
+        let c = h.insert(4, 1, name("c"));
+        let d = h.insert(5, 2, name("d"));
+        h.add_edge(c, d);
+        let stats = ex
+            .run_dirty(&mut h, &|_, _| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert_eq!(stats.nodes_run, 2);
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
     }
 
     #[test]

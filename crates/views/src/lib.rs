@@ -13,7 +13,8 @@
 //! * [`View`] operators ([`NormView`], [`ProbabilityView`],
 //!   [`ExpectationView`], plus [`MapView`]/[`SumView`] combinators) —
 //!   per-block partials with subtract-old/add-new patching and support
-//!   closure for off-diagonal observables.
+//!   closure for off-diagonal observables. [`NormView`] reads the
+//!   snapshot's norm, which the engine computes once at publication.
 //! * The [`ViewRegistry`] — attaches to a [`qtask_core::Ckt`] as a
 //!   [`qtask_core::SnapshotObserver`] and maintains every registered
 //!   view inside the publish path, degrading to a full refresh on

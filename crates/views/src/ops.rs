@@ -17,6 +17,10 @@
 //!   blocks (the off-diagonal Pauli pairing) widens the dirty set to the
 //!   blocks whose partials could observe the change — the analogue of
 //!   cynos's Min/Max re-scan rule.
+//!
+//! [`NormView`] is the exception: the engine already computes every
+//! block's norm at publication, so the view reads the snapshot's total
+//! instead of keeping a second set of per-block partials.
 
 use crate::value::{PatchStats, ViewValue};
 use qtask_core::{BlockDelta, StateSnapshot};
@@ -62,43 +66,20 @@ fn raw_amp(snap: &StateSnapshot, idx: usize) -> Complex64 {
     }
 }
 
-/// Unscaled squared norm of block `b` (`None` = implicit |0…0⟩ block).
-fn block_norm_partial(snap: &StateSnapshot, b: usize) -> f64 {
-    match snap.raw_block(b) {
-        Some(d) => d.iter().map(|z| z.norm_sqr()).sum(),
-        None => {
-            if b == 0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
 // ---- NormView -----------------------------------------------------------
 
 /// Maintains Σ|ψ|² — the snapshot's [`StateSnapshot::norm_sqr`] as a
-/// materialized view. One `f64` partial per block.
+/// materialized view. It keeps no per-block state: the engine computes
+/// each block's norm once, at publication, and the snapshot carries the
+/// total, so refresh and patch are both O(1) reads of it.
+#[derive(Default)]
 pub struct NormView {
-    partials: Vec<f64>,
-    total: f64,
-    scale: f64,
+    value: f64,
 }
 
 impl NormView {
     pub fn new() -> NormView {
-        NormView {
-            partials: Vec::new(),
-            total: 0.0,
-            scale: 1.0,
-        }
-    }
-}
-
-impl Default for NormView {
-    fn default() -> Self {
-        NormView::new()
+        NormView::default()
     }
 }
 
@@ -108,33 +89,16 @@ impl View for NormView {
     }
 
     fn refresh(&mut self, snap: &StateSnapshot) {
-        let nb = snap.geometry().num_blocks();
-        self.partials.clear();
-        self.partials.resize(nb, 0.0);
-        self.total = 0.0;
-        for b in 0..nb {
-            let p = block_norm_partial(snap, b);
-            self.partials[b] = p;
-            self.total += p;
-        }
-        self.scale = snap.scale();
+        self.value = snap.norm_sqr();
     }
 
-    fn patch(&mut self, snap: &StateSnapshot, delta: &BlockDelta) -> PatchStats {
-        for &b in &delta.dirty {
-            self.total -= self.partials[b];
-            let p = block_norm_partial(snap, b);
-            self.partials[b] = p;
-            self.total += p;
-        }
-        self.scale = delta.scale;
-        PatchStats {
-            blocks_scanned: delta.dirty.len(),
-        }
+    fn patch(&mut self, snap: &StateSnapshot, _delta: &BlockDelta) -> PatchStats {
+        self.value = snap.norm_sqr();
+        PatchStats { blocks_scanned: 0 }
     }
 
     fn value(&self) -> ViewValue {
-        ViewValue::Scalar(self.total * self.scale * self.scale)
+        ViewValue::Scalar(self.value)
     }
 }
 

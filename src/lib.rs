@@ -98,9 +98,8 @@ pub mod prelude {
         Circuit, CircuitBuilder, CircuitError, CircuitStats, Gate, GateId, NetId,
     };
     pub use qtask_core::{
-        Ckt, EditReceipt, EditTxn, EngineError, InvariantViolation, KernelPolicy, NumericalPolicy,
-        QueryReport, RecoveryReport, ResolvePolicy, RowOrderPolicy, SimConfig, SnapshotPolicy,
-        StateSnapshot, UpdateReport,
+        Ckt, EditReceipt, EditTxn, EngineError, InvariantViolation, NumericalPolicy, QueryReport,
+        RecoveryReport, SimConfig, StateSnapshot, UpdateReport,
     };
     pub use qtask_gates::{GateClass, GateKind};
     pub use qtask_num::{c64, Complex64};

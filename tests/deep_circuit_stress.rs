@@ -11,7 +11,6 @@
 
 use qtask::prelude::*;
 use qtask_baselines::NaiveSim;
-use qtask_core::ResolvePolicy;
 use qtask_num::vecops;
 use rand::prelude::*;
 
@@ -54,12 +53,11 @@ fn assert_agreement(ckt: &Ckt, oracle: &mut NaiveSim, what: &str) {
     );
 }
 
-fn run_storm(resolve: ResolvePolicy, seed: u64) {
+fn run_storm(seed: u64) {
     use qtask_baselines::Simulator;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cfg = SimConfig::with_block_size(4);
     cfg.num_threads = 2;
-    cfg.resolve = resolve;
     let mut ckt = Ckt::with_config(NUM_QUBITS, cfg);
     let mut oracle = NaiveSim::new(NUM_QUBITS);
 
@@ -136,17 +134,10 @@ fn run_storm(resolve: ResolvePolicy, seed: u64) {
 
 #[test]
 fn deep_storm_owner_index() {
-    run_storm(ResolvePolicy::OwnerIndex, 0xDEE9);
+    run_storm(0xDEE9);
 }
 
 #[test]
 fn deep_storm_owner_index_second_seed() {
-    run_storm(ResolvePolicy::OwnerIndex, 0x5EED);
-}
-
-#[test]
-fn deep_storm_chain_walk_oracle_parity() {
-    // The legacy path must stay correct too — it is the ablation baseline
-    // and the differential oracle for the index.
-    run_storm(ResolvePolicy::ChainWalk, 0xDEE9);
+    run_storm(0x5EED);
 }

@@ -318,26 +318,42 @@ fn snapshot_versions_track_published_changes() {
     );
 }
 
-/// `Ckt::snapshot` under `SnapshotPolicy::Disabled`: one-off captures
-/// answer correctly and the engine retains nothing (no pinned blocks).
+/// The snapshot's O(1) norm — the engine's per-block norms, summed once
+/// at publication — equals an independent rescan of the published state
+/// at every publication of a seeded insert/remove sequence.
 #[test]
-fn disabled_policy_still_captures_on_demand() {
-    let mut cfg = SimConfig::with_block_size(4).with_snapshots(SnapshotPolicy::Disabled);
-    cfg.num_threads = 1;
-    let mut ckt = Ckt::with_config(4, cfg);
-    let net = ckt.push_net();
-    ckt.insert_gate(GateKind::H, net, &[2]).unwrap();
-    let report = ckt.update_state().unwrap();
-    assert_eq!(report.snapshot_blocks_resolved, 0, "no auto-publication");
-    assert!(ckt.latest_snapshot().is_none());
-    let snap = ckt.snapshot();
-    assert!(qtask::num::vecops::approx_eq(
-        &snap.state(),
-        &oracle_state(&ckt),
-        1e-12
-    ));
-    assert!(snap.capture_report().blocks_resolved > 0);
-    assert!(ckt.latest_snapshot().is_none(), "one-off, not retained");
+fn snapshot_norm_matches_a_rescan_at_every_publication() {
+    let mut rng = StdRng::seed_from_u64(0x0A0B);
+    let n = 5u8;
+    let mut cfg = SimConfig::with_block_size(4);
+    cfg.num_threads = 2;
+    let mut ckt = Ckt::with_config(n, cfg);
+    let nets: Vec<NetId> = (0..6).map(|_| ckt.push_net()).collect();
+    let mut live: Vec<GateId> = Vec::new();
+    let mut checked = BTreeSet::new();
+    for step in 0..120 {
+        if !live.is_empty() && rng.random_bool(0.4) {
+            let gid = live.swap_remove(rng.random_range(0..live.len()));
+            ckt.remove_gate(gid).unwrap();
+        } else {
+            let (kind, qubits) = random_gate(&mut rng, n);
+            let net = nets[rng.random_range(0..nets.len())];
+            if let Ok(gid) = ckt.insert_gate(kind, net, &qubits) {
+                live.push(gid);
+            }
+        }
+        ckt.update_state().unwrap();
+        let snap = ckt.latest_snapshot().expect("the first update publishes");
+        let rescan = qtask::num::vecops::norm_sqr(&snap.state());
+        assert!(
+            (snap.norm_sqr() - rescan).abs() < 1e-15,
+            "step {step}, version {}: stored norm {} vs rescan {rescan}",
+            snap.version(),
+            snap.norm_sqr()
+        );
+        checked.insert(snap.version());
+    }
+    assert!(checked.len() > 60, "only {} publications", checked.len());
 }
 
 /// Records every publication's write set.

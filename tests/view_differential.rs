@@ -7,6 +7,7 @@
 //! tolerance, so every publication also exercises the drift/scale path
 //! the views must re-weight by.
 
+use qtask::num::vecops;
 use qtask::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -100,7 +101,9 @@ fn views_match_oracle_at_every_version_through_edit_storm() {
         let mut tracked: Vec<Tracked> = vec![
             Tracked {
                 handle: registry.register(Box::new(NormView::new())),
-                oracle: Box::new(|s| ViewValue::Scalar(s.norm_sqr())),
+                // An independent rescan: `s.norm_sqr()` would read the
+                // engine's own publish-time bookkeeping back.
+                oracle: Box::new(|s| ViewValue::Scalar(vecops::norm_sqr(&s.state()))),
                 label: "norm",
             },
             Tracked {
